@@ -9,12 +9,10 @@ from importlib import resources
 
 from arrgroup import (
     builtin_group,
-    genericize,
     hom_count,
-    lefschetz_pairs,
     parse_arrangement,
-    presentation,
     semidirect_fixture,
+    sweep,
 )
 
 ARRANGEMENTS = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
@@ -27,8 +25,7 @@ def sources(names):
             yield name, semidirect_fixture(name.split("-", 1)[1])
             continue
         path = resources.files("arrgroup").joinpath(f"fixtures/{name}.lines")
-        generic, _ = genericize(parse_arrangement(path.read_text()))
-        yield name, presentation(lefschetz_pairs(generic))
+        yield name, sweep(parse_arrangement(path.read_text())).presentation
 
 
 def main(argv=None):

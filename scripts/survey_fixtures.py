@@ -9,13 +9,10 @@ from importlib import resources
 from arrgroup import (
     builtin_group,
     cf_verdict,
-    compute_lattice,
-    genericize,
     hom_count,
-    lefschetz_pairs,
     multiple_point_graph,
     parse_arrangement,
-    presentation,
+    sweep,
 )
 
 NAMES = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
@@ -42,10 +39,9 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     for name in args.names:
-        generic, _ = genericize(load(name))
-        lat = compute_lattice(generic)
+        swept = sweep(load(name))
+        lat, pres = swept.lattice, swept.presentation
         graph = multiple_point_graph(lat)
-        pres = presentation(lefschetz_pairs(generic))
         t0 = time.perf_counter()
         verdict = cf_verdict(lat, pres)
         secs = time.perf_counter() - t0

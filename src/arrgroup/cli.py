@@ -25,10 +25,9 @@ from arrgroup.prover import (Budget, ProverError, ReplayError, cf_verdict,
 from arrgroup.vankampen import (candidate_cf, format_presentation,
                                 format_presentation_json, parse_presentation,
                                 parse_presentation_json, presentation,
-                                projectivize)
-from arrgroup.wiring import (WiringError, format_pairs, genericize,
-                             lefschetz_pairs, parse_pairs, validate_pairs,
-                             wiring_svg)
+                                projectivize, sweep)
+from arrgroup.wiring import (WiringError, format_pairs, parse_pairs,
+                             validate_pairs, wiring_svg)
 
 _BUILTIN_GROUPS = ("S3", "S4", "A4", "D4", "A5")
 
@@ -71,9 +70,7 @@ def _load_pairs(path: str):
         pl = parse_pairs(text)
         validate_pairs(pl)
         return pl
-    arr = parse_arrangement(text)
-    generic, _ = genericize(arr)
-    return lefschetz_pairs(generic)
+    return sweep(parse_arrangement(text)).pairs
 
 
 def _load_presentation(path: str):
@@ -144,12 +141,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    arr = parse_arrangement(_read(args.input))
-    generic, transform = genericize(arr)
-    pl = lefschetz_pairs(generic)
-    text = format_pairs(pl)
-    if not transform.is_identity:
-        text = f"# sheared by x -> x + {transform.t}*y\n" + text
+    swept = sweep(parse_arrangement(_read(args.input)))
+    text = format_pairs(swept.pairs)
+    if not swept.transform.is_identity:
+        text = f"# sheared by x -> x + {swept.transform.t}*y\n" + text
     _write(args.output, text)
     return 0
 
@@ -208,12 +203,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
-    arr = parse_arrangement(_read(args.input))
-    generic, _ = genericize(arr)
-    lat = compute_lattice(generic)
-    pres = presentation(lefschetz_pairs(generic))
+    swept = sweep(parse_arrangement(_read(args.input)))
     orderings = _parse_ordering(args.ordering, allow_modes=True)
-    verdict = cf_verdict(lat, pres, orderings, _budget(args))
+    verdict = cf_verdict(swept.lattice, swept.presentation, orderings,
+                         _budget(args))
     _write(args.output, format_verdict(verdict))
     if verdict.status != "Certified":
         return 2
@@ -230,7 +223,7 @@ def _cmd_verdict(args) -> int:
 def _cmd_homcount(args) -> int:
     pres = _load_presentation(args.input)
     table = _load_group(args.group)
-    cap = args.budget_nodes if args.budget_nodes else 100_000_000
+    cap = 100_000_000 if args.budget_nodes is None else args.budget_nodes
     res = hom_count(pres, table, cap)
     if res.outcome != "exact":
         print(f"aborted after {res.nodes} nodes (raise --budget-nodes)")

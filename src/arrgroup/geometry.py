@@ -199,8 +199,3 @@ def _betti(vertices, edges) -> int:
             parent[ru] = rv
     components = len({find(v) for v in vertices})
     return len(edges) - len(vertices) + components
-
-
-def graph_betti(g: MultipleGraph) -> int:
-    """First Betti number |E| - |V| + #components; zero exactly for forests."""
-    return g.betti

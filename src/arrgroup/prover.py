@@ -32,8 +32,10 @@ from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
+    conjugate_all,
     is_conjugation_free,
     relabel_presentation,
+    rotation_products,
 )
 
 
@@ -98,17 +100,6 @@ class ProveResult:
 # licensed rewrite enumeration (shared by the prover and the checker)
 # ---------------------------------------------------------------------------
 
-def rotation_products(words):
-    """The split-point products of a bracket, freely reduced: product m is
-    w_{m} w_{m-1} ... w_1 w_k ... w_{m+1} read with 1-based entries."""
-    k = len(words)
-    out = []
-    for m in range(k):
-        idx = list(range(m - 1, -1, -1)) + list(range(k - 1, m - 1, -1))
-        out.append(free_reduce([c for t in idx for c in words[t]]))
-    return out
-
-
 def _signed(word, sign):
     return tuple(word) if sign == 1 else word_inverse(word)
 
@@ -148,19 +139,31 @@ def _swap_variants(src_words):
 def _reduce_trace(letters):
     """Leftmost-pair free reduction.  Returns (reduced word, trace) where
     trace lists (position, letter) removals; re-inserting (letter, -letter)
-    at each position, in reverse order, rebuilds the input exactly."""
-    word = list(letters)
+    at each position, in reverse order, rebuilds the input exactly.
+
+    One stack pass: the stack is reduced, so a letter cancelling its top
+    always forms the leftmost cancelling pair of the current word."""
+    word = []
     trace = []
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(word) - 1):
-            if word[p] == -word[p + 1]:
-                trace.append((p, word[p]))
-                del word[p:p + 2]
-                changed = True
-                break
+    for c in letters:
+        if word and word[-1] == -c:
+            trace.append((len(word) - 1, word.pop()))
+        else:
+            word.append(c)
     return tuple(word), trace
+
+
+def _sites(w, licenses):
+    """Every licensed substitution site in the word w, license by license,
+    left to right: (pos, lhs, rhs, tag)."""
+    n = len(w)
+    for lhs, rhs, tag in licenses:
+        length = len(lhs)
+        if length > n:
+            continue
+        for pos in range(n - length + 1):
+            if w[pos:pos + length] == lhs:
+                yield pos, lhs, rhs, tag
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ class _State:
 
     def apply_conj(self, r, g):
         self._bump()
-        new = [free_reduce((-g,) + tuple(w) + (g,)) for w in self.rels[r]]
+        new = list(conjugate_all(self.rels[r], (g,)))
         if any(len(w) > self.budget.max_word_len for w in new):
             raise _WordTooLong
         self.rels[r] = new
@@ -254,15 +257,10 @@ def _licenses(rels, skip):
 def _find_shortening(rels, r, licenses):
     for e, w in enumerate(rels[r]):
         w = tuple(w)
-        for lhs, rhs, tag in licenses:
-            length = len(lhs)
-            if length > len(w):
-                continue
-            for pos in range(len(w) - length + 1):
-                if w[pos:pos + length] == lhs:
-                    red, _ = _reduce_trace(w[:pos] + rhs + w[pos + length:])
-                    if len(red) < len(w):
-                        return (e, pos, lhs, rhs, tag)
+        for pos, lhs, rhs, tag in _sites(w, licenses):
+            red, _ = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+            if len(red) < len(w):
+                return (e, pos, lhs, rhs, tag)
     return None
 
 
@@ -301,24 +299,18 @@ def _plateau_path(start, licenses, node_cap):
     nodes = 0
     while queue:
         w, path = queue.popleft()
-        for lhs, rhs, tag in licenses:
-            length = len(lhs)
-            if length > len(w):
+        for pos, lhs, rhs, tag in _sites(w, licenses):
+            red, _ = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+            if len(red) > len(start) or red in visited:
                 continue
-            for pos in range(len(w) - length + 1):
-                if w[pos:pos + length] != lhs:
-                    continue
-                red, _ = _reduce_trace(w[:pos] + rhs + w[pos + length:])
-                if len(red) > len(start) or red in visited:
-                    continue
-                newpath = path + ((pos, lhs, rhs, tag),)
-                if len(red) < len(start):
-                    return newpath
-                nodes += 1
-                if nodes > node_cap:
-                    return None
-                visited.add(red)
-                queue.append((red, newpath))
+            newpath = path + ((pos, lhs, rhs, tag),)
+            if len(red) < len(start):
+                return newpath
+            nodes += 1
+            if nodes > node_cap:
+                return None
+            visited.add(red)
+            queue.append((red, newpath))
     return None
 
 
@@ -421,8 +413,7 @@ def _guided_phase(state, pool, claims):
 
 def _simulate(words, move, max_len):
     if move[0] == "conj":
-        g = move[1]
-        new = tuple(free_reduce((-g,) + w + (g,)) for w in words)
+        new = conjugate_all(words, (move[1],))
     else:
         _, e, pos, lhs, rhs = move[:5]
         w = words[e]
@@ -440,13 +431,8 @@ def _bfs_moves(words, licenses, ngens):
         yield ("conj", g), None
         yield ("conj", -g), None
     for e, w in enumerate(words):
-        for lhs, rhs, tag in licenses:
-            length = len(lhs)
-            if length > len(w):
-                continue
-            for pos in range(len(w) - length + 1):
-                if w[pos:pos + length] == lhs:
-                    yield ("subst", e, pos, lhs, rhs), tag
+        for pos, lhs, rhs, tag in _sites(w, licenses):
+            yield ("subst", e, pos, lhs, rhs), tag
 
 
 def _bfs_rescue(state, r, pool, ngens):
@@ -556,55 +542,68 @@ def prove_equivalent(source: Presentation, target: Presentation,
     return ProveResult("certified", cert, "")
 
 
-def _replay_step(rels, step, nrels):
+def _check_index(ok, what):
+    if not ok:
+        raise ReplayError("bad-index", what)
+
+
+def _replay_step(rels, step, nrels, ngens):
     kind = step[0]
+    if kind not in _STEP_ARITY:
+        raise ReplayError("unknown-step", str(step))
+    r = step[1]
+    _check_index(0 <= r < nrels, f"{kind}: relation {r}")
+    if kind in ("reduce", "expand", "comm", "swap"):
+        e = step[2]
+        _check_index(0 <= e < len(rels[r]),
+                     f"{kind}: entry {e} of relation {r}")
+    if kind in ("conj", "expand"):
+        g = step[-1]
+        _check_index(1 <= abs(g) <= ngens, f"{kind}: generator {g}")
     if kind == "rot":
-        _, r, k = step
         words = rels[r]
-        k %= len(words)
+        k = step[2] % len(words)
         rels[r] = words[k:] + words[:k]
     elif kind == "conj":
-        _, r, g = step
-        rels[r] = [free_reduce((-g,) + tuple(w) + (g,)) for w in rels[r]]
+        rels[r] = list(conjugate_all(rels[r], (g,)))
     elif kind == "reduce":
-        _, r, e = step
         rels[r][e] = free_reduce(rels[r][e])
     elif kind == "expand":
-        _, r, e, pos, g = step
+        pos = step[3]
         w = tuple(rels[r][e])
         if not 0 <= pos <= len(w):
             raise ReplayError("bad-position", f"expand at {pos} in {w}")
         rels[r][e] = w[:pos] + (g, -g) + w[pos:]
-    elif kind in ("comm", "swap"):
-        r, e, pos, s = step[1:5]
+    else:
+        pos, s = step[3:5]
         if s == r:
             raise ReplayError("self-justified", f"relation {r} cites itself")
-        if not 0 <= s < nrels:
-            raise ReplayError("bad-index", f"source relation {s}")
+        _check_index(0 <= s < nrels, f"source relation {s}")
         src = [tuple(w) for w in rels[s]]
         if kind == "comm":
             _, _, _, _, _, e1, s1, e2, s2 = step
             if len(src) != 2:
                 raise ReplayError("not-a-pair",
                                   f"relation {s} is not a 2-bracket")
+            _check_index(e1 in (0, 1) and e2 in (0, 1)
+                         and s1 in (1, -1) and s2 in (1, -1),
+                         f"comm entries {e1},{e2} signs {s1},{s2}")
             lhs, rhs = _comm_sides(src, e1, s1, e2, s2)
         else:
             _, _, _, _, _, m1, m2, iv = step
             prods = rotation_products(src)
-            if not (0 <= m1 < len(prods) and 0 <= m2 < len(prods)
-                    and m1 != m2):
-                raise ReplayError("bad-index", f"products {m1},{m2}")
+            _check_index(0 <= m1 < len(prods) and 0 <= m2 < len(prods)
+                         and m1 != m2 and iv in (0, 1),
+                         f"products {m1},{m2} inverse flag {iv}")
             lhs = _signed(prods[m1], 1 - 2 * iv)
             rhs = _signed(prods[m2], 1 - 2 * iv)
         w = tuple(rels[r][e])
-        if w[pos:pos + len(lhs)] != lhs:
+        if pos < 0 or w[pos:pos + len(lhs)] != lhs:
             raise ReplayError(
                 "no-occurrence",
                 f"{kind}: expected {format_word(lhs)} at {pos} of "
                 f"{format_word(w)}")
         rels[r][e] = w[:pos] + rhs + w[pos + len(lhs):]
-    else:
-        raise ReplayError("unknown-step", str(step))
 
 
 def replay(source: Presentation, target: Presentation,
@@ -629,7 +628,7 @@ def replay(source: Presentation, target: Presentation,
 
     rels = [list(rel.words) for rel in source.relations]
     for step in cert.forward:
-        _replay_step(rels, step, nrels)
+        _replay_step(rels, step, nrels, cert.ngens)
     for r in range(nrels):
         got = tuple(tuple(w) for w in rels[r])
         want = target.relations[match[r]].words
@@ -640,7 +639,7 @@ def replay(source: Presentation, target: Presentation,
 
     rels = [list(target.relations[match[r]].words) for r in range(nrels)]
     for step in cert.backward:
-        _replay_step(rels, step, nrels)
+        _replay_step(rels, step, nrels, cert.ngens)
     for r in range(nrels):
         got = tuple(tuple(w) for w in rels[r])
         want = source.relations[r].words

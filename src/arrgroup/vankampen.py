@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from arrgroup.braid import (
     artin_apply,
@@ -30,7 +31,9 @@ from arrgroup.braid import (
     word_inverse,
     word_mul,
 )
-from arrgroup.wiring import PairList, validate_pairs
+from arrgroup.geometry import Arrangement, IntersectionLattice
+from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
+                             validate_pairs)
 
 
 def _iota(w):
@@ -74,13 +77,15 @@ def canonical_rotation(words):
     return min(rots)
 
 
-def _word_key(w):
-    return (len(w), tuple((abs(c), 0 if c > 0 else 1) for c in w))
-
-
-def _keyed_rotation(words):
-    rots = [tuple(words[i:] + words[:i]) for i in range(len(words))]
-    return min(rots, key=lambda t: tuple(_word_key(w) for w in t))
+def rotation_products(words):
+    """The k equal products of a bracket, one per split point, freely
+    reduced: product m is w_m w_{m-1} ... w_1 w_k ... w_{m+1} (1-based)."""
+    k = len(words)
+    out = []
+    for m in range(k):
+        idx = list(range(m - 1, -1, -1)) + list(range(k - 1, m - 1, -1))
+        out.append(word_mul(*[words[t] for t in idx]))
+    return out
 
 
 def canonical_form(words, ngens, cap=512):
@@ -88,7 +93,7 @@ def canonical_form(words, ngens, cap=512):
 
     Greedy shortening first, then a breadth-first walk over all simultaneous
     single-letter conjugations that keep the minimal total length (plateau,
-    capped), finally the least rotation under a sign-insensitive-first key.
+    capped), finally the least rotation of them all.
     Two brackets related by simultaneous conjugation and rotation map to the
     same representative (within the plateau cap, which desk-scale inputs
     never reach).
@@ -107,8 +112,7 @@ def canonical_form(words, ngens, cap=512):
                         seen.add(cand)
                         nxt.append(cand)
         frontier = nxt
-    return min((_keyed_rotation(t) for t in seen),
-               key=lambda t: tuple(_word_key(w) for w in t))
+    return min(canonical_rotation(t) for t in seen)
 
 
 @dataclass(frozen=True)
@@ -131,27 +135,10 @@ class CyclicRelation:
 
     def rotation_products(self):
         """The k equal products, one per split point, freely reduced."""
-        k = len(self.words)
-        out = []
-        for m in range(k):
-            idx = list(range(m - 1, -1, -1)) + list(range(k - 1, m - 1, -1))
-            out.append(word_mul(*[self.words[t] for t in idx]))
-        return out
+        return rotation_products(self.words)
 
     def __str__(self):
         return "[ " + " ; ".join(format_word(w) for w in self.words) + " ]"
-
-
-def conjugate_parts(w):
-    """Split a reduced word syntactically as (conjugator u, core letter g)
-    when it is literally u g u^-1; otherwise None."""
-    if len(w) % 2 == 0:
-        return None
-    half = len(w) // 2
-    u, core, tail = w[:half], w[half], w[half + 1:]
-    if tail == word_inverse(u):
-        return (u, core)
-    return None
 
 
 @dataclass(frozen=True)
@@ -161,6 +148,8 @@ class Presentation:
     kind: str = "affine"  # or "projective"
 
     def __post_init__(self):
+        if self.ngens < 0:
+            raise ValueError(f"negative generator count {self.ngens}")
         for rel in self.relations:
             for w in rel.words:
                 for c in w:
@@ -190,6 +179,30 @@ def presentation(pl: PairList) -> Presentation:
         for i in range(1, len(pl.pairs) + 1)
     )
     return Presentation(pl.ell, rels, "affine")
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """What the sweep derives from one arrangement: the arrangement sheared
+    to generic position, the shear, its lattice, its Lefschetz pairs and
+    (computed on first use) its van Kampen presentation."""
+
+    generic: Arrangement
+    transform: Transform
+    lattice: IntersectionLattice
+    pairs: PairList
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        return presentation(self.pairs)
+
+
+def sweep(arr: Arrangement) -> Sweep:
+    """Shear an arrangement to generic position and sweep it.  The lattice
+    is computed once, on the input, and carried along by the shear."""
+    generic, transform, lattice = _genericize(arr)
+    lattice = transform.apply_lattice(lattice)
+    return Sweep(generic, transform, lattice, _sweep_pairs(generic, lattice))
 
 
 def _substitute_last(w, ngens):
@@ -324,10 +337,24 @@ def format_presentation_json(p: Presentation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_presentation_json(text: str) -> Presentation:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not _is_int(doc.get("ngens")):
+        raise ValueError("presentation JSON needs an integer 'ngens'")
+    relations = doc.get("relations")
+    if not (isinstance(relations, list) and all(
+            isinstance(words, list) and all(
+                isinstance(w, list) and all(_is_int(c) for c in w)
+                for w in words)
+            for words in relations)):
+        raise ValueError("presentation JSON needs 'relations': a list of "
+                         "brackets, each a list of integer lists")
     rels = tuple(
         CyclicRelation.make([tuple(w) for w in words], doc["ngens"])
-        for words in doc["relations"]
+        for words in relations
     )
     return Presentation(doc["ngens"], rels, doc.get("kind", "affine"))

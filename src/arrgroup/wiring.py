@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
-from arrgroup.geometry import Arrangement, Line, compute_lattice, ArrangementError
+from arrgroup.geometry import (Arrangement, IntersectionLattice,
+                               IntersectionPoint, Line, compute_lattice)
 
 
 class WiringError(ValueError):
@@ -40,12 +42,18 @@ class Transform:
     def apply_point(self, x, y):
         return (x + self.t * y, y)
 
-    def invert_point(self, x, y):
-        return (x - self.t * y, y)
-
     def apply_line(self, line: Line) -> Line:
         # a(x - t*y') ... substituting x = x' - t*y' into a*x + b*y = c
         return Line.make(line.a, line.b - line.a * self.t, line.c)
+
+    def apply_lattice(self, lat: IntersectionLattice) -> IntersectionLattice:
+        """The lattice of the sheared arrangement: the same incidences at
+        the sheared points, in compute_lattice's (x, y) order."""
+        points = sorted(
+            (IntersectionPoint(*self.apply_point(pt.x, pt.y), pt.incident,
+                               pt.multiplicity) for pt in lat.points),
+            key=lambda pt: (pt.x, pt.y))
+        return IntersectionLattice(tuple(points), lat.n, lat.p)
 
     @property
     def is_identity(self):
@@ -65,12 +73,32 @@ def _shear_parameters():
         height += 1
 
 
-def _is_generic(arr: Arrangement) -> bool:
-    if any(line.is_vertical for line in arr):
-        return False
+def _generic_shear(arr: Arrangement, lat: IntersectionLattice) -> Transform:
+    """The first shear, t = 0 included, under which no line is vertical and
+    the points of ``lat`` (the lattice of ``arr``) have distinct
+    x-coordinates.  Only finitely many t fail (one per vertical line and per
+    pair of points), so the search ends."""
+    for t in chain((Fraction(0),), _shear_parameters()):
+        tf = Transform(t)
+        if (all(line.b != line.a * t for line in arr)
+                and len({tf.apply_point(pt.x, pt.y)[0] for pt in lat.points})
+                == len(lat.points)):
+            return tf
+
+
+def _genericize(arr: Arrangement):
+    """genericize, plus the lattice of the input arrangement."""
+    for (i, l1) in enumerate(arr.lines):
+        for l2 in arr.lines[i + 1:]:
+            if l1.a * l2.b - l2.a * l1.b == 0:
+                raise WiringError(
+                    "parallel-lines", f"parallel lines present: {l1} and {l2}"
+                )
     lat = compute_lattice(arr)
-    xs = [pt.x for pt in lat.points]
-    return len(xs) == len(set(xs))
+    tf = _generic_shear(arr, lat)
+    if tf.is_identity:
+        return arr, tf, lat
+    return Arrangement(tuple(tf.apply_line(line) for line in arr)), tf, lat
 
 
 def genericize(arr: Arrangement):
@@ -80,22 +108,8 @@ def genericize(arr: Arrangement):
 
     Returns (generic arrangement, Transform).
     """
-    for (i, l1) in enumerate(arr.lines):
-        for l2 in arr.lines[i + 1:]:
-            if l1.a * l2.b - l2.a * l1.b == 0:
-                raise WiringError(
-                    "parallel-lines", f"parallel lines present: {l1} and {l2}"
-                )
-    if _is_generic(arr):
-        return arr, Transform(Fraction(0))
-    for count, t in enumerate(_shear_parameters()):
-        tf = Transform(t)
-        sheared = Arrangement(tuple(tf.apply_line(line) for line in arr))
-        if _is_generic(sheared):
-            return sheared, tf
-        if count > 10000:  # only finitely many bad values exist
-            raise WiringError("shear-exhausted", "no generic shear found")
-    raise WiringError("shear-exhausted", "unreachable")
+    generic, tf, _ = _genericize(arr)
+    return generic, tf
 
 
 def lefschetz_pairs(arr: Arrangement) -> PairList:
@@ -115,7 +129,13 @@ def lefschetz_pairs(arr: Arrangement) -> PairList:
     xs = [pt.x for pt in lat.points]
     if len(xs) != len(set(xs)):
         raise WiringError("not-generic", "two intersection points share an x-coordinate")
+    return _sweep_pairs(arr, lat)
 
+
+def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
+    """The sweep itself, for a generic arrangement and its lattice."""
+    ell = len(arr)
+    slopes = [line.slope for line in arr]
     # wire w holds the line with the w-th smallest slope (1-based)
     by_slope = sorted(range(1, ell + 1), key=lambda i: slopes[i - 1])
     order = list(by_slope)  # order[pos-1] = line index at height pos

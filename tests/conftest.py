@@ -1,21 +1,15 @@
-"""Shared helpers: fixture loading and the cached arrangement pipeline."""
+"""Shared helpers: fixture loading and the cached sweep of each fixture."""
 
 from __future__ import annotations
 
+import functools
 import time
 from importlib import resources
 
 import pytest
 from hypothesis import settings
 
-from arrgroup import (
-    Arrangement,
-    compute_lattice,
-    genericize,
-    lefschetz_pairs,
-    parse_arrangement,
-    presentation,
-)
+from arrgroup import Arrangement, Sweep, parse_arrangement, sweep
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -40,24 +34,10 @@ def fixture_arrangement(name: str) -> Arrangement:
     return parse_arrangement(fixture_text(name))
 
 
-class Pipeline:
-    """Everything the sweep produces for one fixture, computed once."""
-
-    def __init__(self, name: str):
-        self.arrangement = fixture_arrangement(name)
-        self.generic, self.transform = genericize(self.arrangement)
-        self.lattice = compute_lattice(self.generic)
-        self.pairs = lefschetz_pairs(self.generic)
-        self.presentation = presentation(self.pairs)
-
-
-_PIPELINES: dict = {}
-
-
-def pipeline(name: str) -> Pipeline:
-    if name not in _PIPELINES:
-        _PIPELINES[name] = Pipeline(name)
-    return _PIPELINES[name]
+@functools.cache
+def pipeline(name: str) -> Sweep:
+    """The sweep of one fixture, computed once per session."""
+    return sweep(fixture_arrangement(name))
 
 
 @pytest.fixture(scope="session")

@@ -178,3 +178,61 @@ def test_stdin_dash_reads_standard_input(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(fixture_text("pencil")))
     assert main(["lattice", "--input", "-"]) == 0
     assert "n=3" in capsys.readouterr().out
+
+
+PAIR_PRESENTATION = "gens=3\n[ x1 ; x3 ]\n[ x2 ; x3 ]\n"
+
+
+@pytest.mark.parametrize("step", [
+    "conj 99 1",             # relation index
+    "rot 50 1",              # relation index
+    "reduce 0 7",            # entry index
+    "comm 0 0 0 1 5 1 0 1",  # entry index e1 of the cited 2-bracket
+    "comm 0 0 0 1 0 -9 1 1",  # sign s1 neither 1 nor -1
+    "swap 0 0 0 1 0 1 7",    # inverse flag neither 0 nor 1
+    "conj 0 4",              # generator beyond gens=3
+    "expand 0 0 0 0",        # generator 0
+])
+def test_replay_rejects_out_of_range_steps(step, tmp_path, capsys):
+    pres = tmp_path / "pair.pres"
+    pres.write_text(PAIR_PRESENTATION)
+    cert = tmp_path / "bad.cert"
+    cert.write_text("certificate-v1\ngens=3\nrelations=2\nmatch 0 0\n"
+                    f"match 1 1\nforward 1\n{step}\nbackward 0\nend\n")
+    rc = main(["replay", "--input", str(cert), "--source", str(pres),
+               "--target", str(pres)])
+    assert rc == 1
+    assert "error: bad-index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"ngens": 3}',                                # missing relations
+    '{"relations": [[[1], [2]]]}',                 # missing ngens
+    '{"ngens": 3, "relations": "[[1], [2]]"}',     # relations not a list
+    '{"ngens": "3", "relations": [[[1], [2]]]}',   # ngens a string
+])
+def test_homcount_rejects_malformed_json_presentations(doc, tmp_path, capsys):
+    pres = tmp_path / "bad.json"
+    pres.write_text(doc)
+    assert main(["homcount", "--input", str(pres)]) == 1
+    assert "error: presentation JSON needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("neg.pres", "gens=-1\n"),
+    ("neg.json", '{"ngens": -2, "relations": []}'),
+])
+def test_homcount_rejects_negative_generator_counts(name, text, tmp_path,
+                                                    capsys):
+    pres = tmp_path / name
+    pres.write_text(text)
+    assert main(["homcount", "--input", str(pres)]) == 1
+    assert "error: negative generator count" in capsys.readouterr().err
+
+
+def test_homcount_zero_node_budget_aborts(tmp_path, capsys):
+    pres = triangle_presentation_file(tmp_path, capsys)
+    rc = main(["homcount", "--input", pres, "--group", "S3",
+               "--budget-nodes", "0"])
+    assert rc == 2
+    assert "aborted after" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from arrgroup import (
     ArrangementError,
     Line,
     compute_lattice,
-    graph_betti,
     multiple_point_graph,
     parse_arrangement,
 )
@@ -103,7 +102,6 @@ def test_lattice_triangle_fixture():
 def test_multiple_point_graph_betti(name, expected_betti):
     graph = multiple_point_graph(compute_lattice(fixture_arrangement(name)))
     assert graph.betti == expected_betti
-    assert graph_betti(graph) == expected_betti
 
 
 def test_multiple_point_graph_triangle_is_a_cycle():

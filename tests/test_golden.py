@@ -1,0 +1,56 @@
+"""Bit-identity of the command line's text outputs on the shipped fixtures.
+
+The digests are sha256 of stdout as the commands printed it before the
+sweep was gathered into one ``sweep()``; a refactor that keeps them keeps
+every presentation, candidate, verdict and certificate byte for byte.
+``verdict`` (run without --certificate) prints the certificate after the
+verdict, so its digest covers both; it is recorded only where the fixture
+certifies.
+"""
+
+import hashlib
+
+import pytest
+
+from arrgroup.cli import main
+from test_cli import fixture_path
+
+COMMANDS = {
+    "present": ["present"],
+    "present-proj": ["present", "--projective"],
+    "candidate": ["candidate"],
+    "verdict": ["verdict"],
+}
+
+DIGESTS = {
+    ("pencil", "present"): "7a1f3ca63bf52d84758baaa10d8c0b61b15b03e3ee57a1844f42faf3f69539af",
+    ("pencil", "present-proj"): "74a5d02530ab9671c3959a53413f0e98e7cdeaddd7e17580e230cb6a001a24cc",
+    ("pencil", "candidate"): "7a1f3ca63bf52d84758baaa10d8c0b61b15b03e3ee57a1844f42faf3f69539af",
+    ("pencil", "verdict"): "91ae4809a4f691a27854e8666cac07aaa1cc42bd57e4dac0ad0c67c668d08262",
+    ("nearpencil", "present"): "11d763029b20a91d795ff28765bcc92790ff358f4cf39c7221660482f397b413",
+    ("nearpencil", "present-proj"): "b310814f7ced0c9c28b9578c772bb906877cf83edd01644cb1a027f457b67271",
+    ("nearpencil", "candidate"): "0f42e58c68210b508d280dda58905c3b4238116efcbd9c236ada90759b15c551",
+    ("nearpencil", "verdict"): "3c98a36491ca98a340a48062c558ba53cd19090bb49776a35e67165ee5c71588",
+    ("triangle", "present"): "8d486843eee8166dc4525479bcf229eea5c60782aaa4bfcfc250643cb1592cd2",
+    ("triangle", "present-proj"): "ded997e1b3fbe61c57a2cae35d5aafae93abe79e530faa1ae506d5ee839ef51e",
+    ("triangle", "candidate"): "5f7cde53688bcbd147eecef46412dbfea1d8113bc83b9897cdabb6aa08b3189e",
+    ("triangle", "verdict"): "7e478d54800759ef977a087d0bb919af58c3b821720485955f76c821a34fc568",
+    ("triangle_plus_line", "present"): "9ad90a068bf0fe3cc5eda3dab538384ce40c1772c01f5ebe89d5e1ff4043de62",
+    ("triangle_plus_line", "present-proj"): "3b661bc414fcfc391354e98beac3e2cc3398430f43d2d68a3a42d627233fd7ba",
+    ("triangle_plus_line", "candidate"): "45bb1fe649d22d1c0c4c0600142dc0075711f52a3a4269ed29944fc5302c2418",
+    ("triangle_plus_line", "verdict"): "51a5cdc5fd0924a8ee4f1893eb635478bbae53e6b7a6557301c3e36a10cd8045",
+    ("cycle5", "present"): "659f78b08c90dae0b594292275065934cfc5901766dfe9f1e9bb41ca698ab3d5",
+    ("cycle5", "present-proj"): "33afb2142a4c974c6a3d7f81e73887d1d5c74b18278dcd5b38d44952486bf841",
+    ("cycle5", "candidate"): "d25121d4534ce31645ee735e08cd0d658a1c44447445607f00ba149302aa6df6",
+    ("cycle5", "verdict"): "253d6a3173611600482696b04b226a515828322f46eca15a0ce339ee25ad5a13",
+    ("ceva", "present"): "078a96546677a2d93e0f9f8b2e89395e30c53bf827f402f1dd1a638e75b4ec85",
+    ("ceva", "present-proj"): "7f544e7ba689568e6745c8d4760b04c5521e31b6261c57ae4eb820e7d858f422",
+    ("ceva", "candidate"): "9ed13dea927e9bb3c71f4a948112685c5c8b931b413e8650f4cc91be9cb73344",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(DIGESTS))
+def test_output_matches_recorded_digest(name, command, capsys):
+    assert main(COMMANDS[command] + ["--input", fixture_path(name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name, command]

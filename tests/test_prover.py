@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrgroup import (
     Budget,
@@ -18,6 +20,7 @@ from arrgroup import (
     prove_equivalent,
     replay,
 )
+from arrgroup.prover import _reduce_trace
 from conftest import pipeline
 
 
@@ -147,3 +150,28 @@ def test_verdict_ceva_identity_is_unknown():
 def test_verdict_checks_line_counts():
     with pytest.raises(ProverError):
         cf_verdict(pipeline("triangle").lattice, pipeline("pencil").presentation)
+
+
+def leftmost_pair_trace(letters):
+    """Reference: cancel the leftmost cancelling pair, rescan from the
+    start, until none is left."""
+    word = list(letters)
+    trace = []
+    while True:
+        for p in range(len(word) - 1):
+            if word[p] == -word[p + 1]:
+                trace.append((p, word[p]))
+                del word[p:p + 2]
+                break
+        else:
+            return tuple(word), trace
+
+
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=24))
+def test_reduce_trace_matches_the_leftmost_pair_scan(letters):
+    reduced, trace = _reduce_trace(letters)
+    assert (reduced, trace) == leftmost_pair_trace(letters)
+    word = list(reduced)
+    for pos, g in reversed(trace):
+        word[pos:pos] = [g, -g]
+    assert word == letters

@@ -45,10 +45,24 @@ def test_genericize_rejects_parallel_lines():
     assert err.value.code == "parallel-lines"
 
 
-def test_transform_point_round_trip():
-    _, transform = genericize(fixture_arrangement("triangle"))
-    x, y = transform.apply_point(3, -2)
-    assert transform.invert_point(x, y) == (3, -2)
+# arrangements that genericize must shear
+SHEARED = (
+    "1 0 0\n0 1 0\n1 1 1",  # a vertical line
+    "-1 1 0\n1 1 0\n-2 1 1\n2 1 1",  # two points on the line x = 0
+)
+
+
+def test_shear_carries_lattice_points_onto_sheared_lattice():
+    sheared = [parse_arrangement(text) for text in SHEARED]
+    assert not any(genericize(arr)[1].is_identity for arr in sheared)
+    for arr in [fixture_arrangement(name) for name in FIXTURE_NAMES] + sheared:
+        generic, transform = genericize(arr)
+        before = compute_lattice(arr)
+        after = compute_lattice(generic)
+        assert {transform.apply_point(pt.x, pt.y): pt.incident
+                for pt in before.points} == {
+            (pt.x, pt.y): pt.incident for pt in after.points}
+        assert transform.apply_lattice(before) == after
 
 
 def test_lefschetz_pairs_two_lines():
