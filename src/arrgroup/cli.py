@@ -223,8 +223,9 @@ def _cmd_verdict(args) -> int:
 def _cmd_homcount(args) -> int:
     pres = _load_presentation(args.input)
     table = _load_group(args.group)
-    cap = 100_000_000 if args.budget_nodes is None else args.budget_nodes
-    res = hom_count(pres, table, cap)
+    budget = (Budget() if args.budget_nodes is None
+              else Budget(hom_nodes=args.budget_nodes))
+    res = hom_count(pres, table, budget.hom_nodes)
     if res.outcome != "exact":
         print(f"aborted after {res.nodes} nodes (raise --budget-nodes)")
         return 2

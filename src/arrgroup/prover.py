@@ -26,13 +26,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
     conjugate_all,
+    conjugate_letter,
     is_conjugation_free,
     relabel_presentation,
     rotation_products,
@@ -54,6 +55,13 @@ class Budget:
     bfs_nodes: int = 20000
     bfs_depth: int = 12
     hom_nodes: int = 100_000_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"budget {f.name} must be non-negative, "
+                                 f"got {value}")
 
 
 class ProverError(Exception):
@@ -155,13 +163,17 @@ def _reduce_trace(letters):
 
 def _sites(w, licenses):
     """Every licensed substitution site in the word w, license by license,
-    left to right: (pos, lhs, rhs, tag)."""
+    left to right: (pos, lhs, rhs, tag).  Only the positions holding the
+    first letter of a license's (nonempty) lhs are compared."""
+    at = {}
+    for pos, c in enumerate(w):
+        at.setdefault(c, []).append(pos)
     n = len(w)
     for lhs, rhs, tag in licenses:
         length = len(lhs)
-        if length > n:
-            continue
-        for pos in range(n - length + 1):
+        for pos in at.get(lhs[0], ()):
+            if pos > n - length:
+                break
             if w[pos:pos + length] == lhs:
                 yield pos, lhs, rhs, tag
 
@@ -176,6 +188,9 @@ class _State:
         self.forward = []
         self.backward = []  # reverse-chronological: executable back to front
         self.budget = budget
+        # (relation index, its words) -> that relation's licenses; lives for
+        # one proof, so it never outgrows the states that proof visits
+        self.license_memo = {}
 
     def total_len(self, r):
         return sum(len(w) for w in self.rels[r])
@@ -195,19 +210,19 @@ class _State:
             raise _BudgetExceeded
 
     def apply_rot(self, r, k):
-        self._bump()
         words = self.rels[r]
         n = len(words)
         k %= n
         if k == 0:
             return
+        self._bump()
         self.rels[r] = words[k:] + words[:k]
         self.forward.append(("rot", r, k))
         self.backward[0:0] = [("rot", r, (n - k) % n)]
 
     def apply_conj(self, r, g):
         self._bump()
-        new = list(conjugate_all(self.rels[r], (g,)))
+        new = list(conjugate_letter(self.rels[r], g))
         if any(len(w) > self.budget.max_word_len for w in new):
             raise _WordTooLong
         self.rels[r] = new
@@ -241,16 +256,28 @@ class _State:
         self.apply_subst(r, e, pos, lhs, rhs, fwd, bwd)
 
 
-def _licenses(rels, skip):
+    def licenses(self, skip):
+        """The licenses every relation but ``skip`` grants, relation by
+        relation; each relation's list is built once per state it is in."""
+        out = []
+        for s, ws in enumerate(self.rels):
+            if s == skip:
+                continue
+            key = (s, tuple(ws))
+            lic = self.license_memo.get(key)
+            if lic is None:
+                lic = self.license_memo[key] = _relation_licenses(s, ws)
+            out.extend(lic)
+        return out
+
+
+def _relation_licenses(s, ws):
     out = []
-    for s, ws in enumerate(rels):
-        if s == skip:
-            continue
-        if len(ws) == 2:
-            for lhs, rhs, (e1, s1, e2, s2) in _comm_variants(ws):
-                out.append((lhs, rhs, ("comm", s, e1, s1, e2, s2)))
-        for lhs, rhs, (m1, m2, iv) in _swap_variants(ws):
-            out.append((lhs, rhs, ("swap", s, m1, m2, iv)))
+    if len(ws) == 2:
+        for lhs, rhs, (e1, s1, e2, s2) in _comm_variants(ws):
+            out.append((lhs, rhs, ("comm", s, e1, s1, e2, s2)))
+    for lhs, rhs, (m1, m2, iv) in _swap_variants(ws):
+        out.append((lhs, rhs, ("swap", s, m1, m2, iv)))
     return out
 
 
@@ -267,7 +294,7 @@ def _find_shortening(rels, r, licenses):
 def _strip_fixpoint(state, r):
     progressed = False
     while True:
-        move = _find_shortening(state.rels, r, _licenses(state.rels, r))
+        move = _find_shortening(state.rels, r, state.licenses(r))
         if move is None:
             return progressed
         state.apply_licensed(r, move)
@@ -279,7 +306,7 @@ def _entry_plateau(state, r):
     substitutions that never lengthen it (equal-length bridge steps allowed,
     as when a product of a plain bracket must be re-split before anything
     cancels).  Applies the found path and reports success."""
-    licenses = _licenses(state.rels, r)
+    licenses = state.licenses(r)
     budget = state.budget
     for e in range(len(state.rels[r])):
         start = tuple(state.rels[r][e])
@@ -413,7 +440,7 @@ def _guided_phase(state, pool, claims):
 
 def _simulate(words, move, max_len):
     if move[0] == "conj":
-        new = conjugate_all(words, (move[1],))
+        new = conjugate_letter(words, move[1])
     else:
         _, e, pos, lhs, rhs = move[:5]
         w = words[e]
@@ -440,7 +467,7 @@ def _bfs_rescue(state, r, pool, ngens):
     order) over single-relation moves, other relations frozen."""
     budget = state.budget
     base = tuple(tuple(w) for w in state.rels[r])
-    licenses = _licenses(state.rels, r)
+    licenses = state.licenses(r)
     visited = {base}
     counter = itertools.count()
     heap = [(sum(len(w) for w in base), next(counter), base, ())]
@@ -739,7 +766,9 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     permutation of the lines (distinct candidates are proved once; a
     permutation only changes the candidate through the cyclic order of the
     entries at each multiple point).  The Unknown verdict carries
-    homomorphism-count evidence when the "all" search fails everywhere.
+    homomorphism-count evidence when the "all" search fails everywhere;
+    with a single ordering its reason is the prover's (the budget that ran
+    out, or the stuck relations).
     """
     budget = budget or Budget()
     n = pres.ngens
@@ -780,28 +809,29 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
             return Verdict("Certified", perm, cand_pos, cand_line,
                            result.certificate, tried, len(cache), (), "")
 
-    evidence = []
-    if orderings == "all":
-        from arrgroup.invariants import builtin_group, hom_count
-        table = builtin_group("S3")
-        src_count = hom_count(pres, table, budget.hom_nodes)
-        evidence.append(f"homomorphisms to S3: presentation {src_count.count}")
-        ruled_out = 0
-        for key, (result, cand_pos, cand_line) in sorted(cache.items()):
-            cnt = hom_count(cand_line, table, budget.hom_nodes)
-            marker = "matches"
-            if (cnt.outcome == "exact" and src_count.outcome == "exact"
-                    and cnt.count != src_count.count):
-                marker = "differs, so this candidate is not equivalent"
-                ruled_out += 1
-            evidence.append(
-                f"candidate with relations {len(cand_line.relations)}: "
-                f"{cnt.count} ({marker})")
-        if ruled_out == len(cache):
-            evidence.append(
-                "every distinct candidate has a different homomorphism "
-                "count, so no ordering can work; reported Unknown because "
-                "the verdict vocabulary has no stronger negative")
+    if orderings != "all":
+        return Verdict("Unknown", None, None, None, None, tried, len(cache),
+                       (), result.reason)
+    from arrgroup.invariants import builtin_group, hom_count
+    table = builtin_group("S3")
+    src_count = hom_count(pres, table, budget.hom_nodes)
+    evidence = [f"homomorphisms to S3: presentation {src_count.count}"]
+    ruled_out = 0
+    for key, (result, cand_pos, cand_line) in sorted(cache.items()):
+        cnt = hom_count(cand_line, table, budget.hom_nodes)
+        marker = "matches"
+        if (cnt.outcome == "exact" and src_count.outcome == "exact"
+                and cnt.count != src_count.count):
+            marker = "differs, so this candidate is not equivalent"
+            ruled_out += 1
+        evidence.append(
+            f"candidate with relations {len(cand_line.relations)}: "
+            f"{cnt.count} ({marker})")
+    if ruled_out == len(cache):
+        evidence.append(
+            "every distinct candidate has a different homomorphism "
+            "count, so no ordering can work; reported Unknown because "
+            "the verdict vocabulary has no stronger negative")
     return Verdict("Unknown", None, None, None, None, tried, len(cache),
                    tuple(evidence),
                    "no ordering produced a certificate within budget")

@@ -48,11 +48,25 @@ def conjugate_all(words, v):
     return tuple(word_mul(vi, w, v) for w in words)
 
 
+def conjugate_letter(words, g):
+    """Simultaneously conjugate every entry by one letter: w -> g^-1 w g.
+
+    Entries must be freely reduced tuples; then this equals
+    ``conjugate_all(words, (g,))``, found by trimming or extending each
+    entry at its two ends instead of multiplying it out."""
+    out = []
+    for w in words:
+        w = w[1:] if w and w[0] == g else (-g,) + w
+        out.append(w[:-1] if w and w[-1] == -g else w + (g,))
+    return tuple(out)
+
+
 def greedy_shorten(words, ngens):
     """Strict-greedy minimal-total-length simultaneous conjugation.
 
     Accept the first single-letter conjugation that strictly shortens the
-    total length, restart, stop at a fixpoint.  Deterministic.
+    total length, restart, stop at a fixpoint.  Deterministic.  Entries
+    must be freely reduced.
     """
     cur = tuple(words)
     best = sum(len(w) for w in cur)
@@ -61,7 +75,7 @@ def greedy_shorten(words, ngens):
         improved = False
         for g in range(1, ngens + 1):
             for s in (1, -1):
-                cand = conjugate_all(cur, (s * g,))
+                cand = conjugate_letter(cur, s * g)
                 tot = sum(len(w) for w in cand)
                 if tot < best:
                     cur, best, improved = cand, tot, True
@@ -107,7 +121,7 @@ def canonical_form(words, ngens, cap=512):
         for cur in frontier:
             for g in range(1, ngens + 1):
                 for s in (1, -1):
-                    cand = conjugate_all(cur, (s * g,))
+                    cand = conjugate_letter(cur, s * g)
                     if sum(len(w) for w in cand) == total and cand not in seen:
                         seen.add(cand)
                         nxt.append(cand)
@@ -150,6 +164,9 @@ class Presentation:
     def __post_init__(self):
         if self.ngens < 0:
             raise ValueError(f"negative generator count {self.ngens}")
+        if self.kind not in ("affine", "projective"):
+            raise ValueError(f"presentation kind must be affine or "
+                             f"projective, got {self.kind!r}")
         for rel in self.relations:
             for w in rel.words:
                 for c in w:

@@ -1,6 +1,7 @@
 """Acceptance gate: the behaviours the package promises, each timed and
 reported on its own line.  Run with -s to see the verdict lines."""
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -106,6 +107,12 @@ def test_ceva_never_certifies_under_any_ordering(tmp_path):
              "--output", str(tmp_path / "verdict.txt")]
         )
         assert rc == 2
+        # stdout as recorded before the prover's per-proof license memo
+        # and site index: the ordering search and its evidence are unchanged
+        digest = hashlib.sha256(
+            (tmp_path / "verdict.txt").read_bytes()).hexdigest()
+        assert digest == ("679328f59f722a4dcee1f8feb472f154"
+                          "6861195ffad4829dd3c061865bdeb810")
 
 
 def _ceva_path():

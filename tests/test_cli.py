@@ -5,6 +5,7 @@ import pytest
 from arrgroup import (
     is_conjugation_free,
     parse_arrangement,
+    parse_certificate,
     parse_pairs,
     parse_presentation,
     parse_presentation_json,
@@ -115,7 +116,19 @@ def test_verdict_certified_writes_certificate(tmp_path, capsys):
 def test_verdict_unknown_exits_two(capsys):
     rc = main(["verdict", "--input", fixture_path("ceva")])
     assert rc == 2
-    assert "Unknown" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Unknown" in out
+    assert ("reason: no path found for: relation 3: [ x2 x1 x2^-1 ; x4 ]"
+            in out)
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["--max-word-len", "2"], "word length budget exhausted"),
+    (["--max-steps", "0"], "step budget exhausted"),
+])
+def test_verdict_unknown_names_the_budget_that_ran_out(flags, reason, capsys):
+    assert main(["verdict", "--input", tri_path()] + flags) == 2
+    assert f"reason: {reason}\n" in capsys.readouterr().out
 
 
 def triangle_presentation_file(tmp_path, capsys):
@@ -123,6 +136,13 @@ def triangle_presentation_file(tmp_path, capsys):
     path = tmp_path / "triangle.pres"
     path.write_text(capsys.readouterr().out)
     return str(path)
+
+
+def test_prove_identical_presentations_in_zero_steps(tmp_path, capsys):
+    pres = triangle_presentation_file(tmp_path, capsys)
+    assert main(["prove", "--input", pres, "--target", pres,
+                 "--max-steps", "0"]) == 0
+    assert parse_certificate(capsys.readouterr().out).nsteps == 0
 
 
 def test_homcount_builtin_and_file_groups(tmp_path, capsys):
@@ -236,3 +256,29 @@ def test_homcount_zero_node_budget_aborts(tmp_path, capsys):
                "--budget-nodes", "0"])
     assert rc == 2
     assert "aborted after" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("banana.pres", "gens=2\nkind=banana\n[ x1 ; x2 ]\n"),
+    ("banana.json", '{"ngens": 2, "kind": "banana", "relations": [[[1], [2]]]}'),
+])
+def test_homcount_rejects_unknown_presentation_kinds(name, text, tmp_path,
+                                                     capsys):
+    pres = tmp_path / name
+    pres.write_text(text)
+    assert main(["homcount", "--input", str(pres)]) == 1
+    assert ("error: presentation kind must be affine or projective"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verdict", "--max-word-len", "-1"),
+    ("verdict", "--max-steps", "-1"),
+    ("verdict", "--budget-nodes", "-5"),
+    ("homcount", "--budget-nodes", "-5"),
+])
+def test_negative_budgets_are_errors(command, flag, value, tmp_path, capsys):
+    source = (tri_path() if command == "verdict"
+              else triangle_presentation_file(tmp_path, capsys))
+    assert main([command, "--input", source, flag, value]) == 1
+    assert "must be non-negative" in capsys.readouterr().err

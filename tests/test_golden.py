@@ -5,7 +5,9 @@ sweep was gathered into one ``sweep()``; a refactor that keeps them keeps
 every presentation, candidate, verdict and certificate byte for byte.
 ``verdict`` (run without --certificate) prints the certificate after the
 verdict, so its digest covers both; it is recorded only where the fixture
-certifies.
+certifies.  The digest of ``prove``'s stderr on ceva's presentation against
+its candidate (an Unknown with the stuck relations) was recorded before the
+prover's per-proof license memo and site index, which must not change it.
 """
 
 import hashlib
@@ -54,3 +56,17 @@ def test_output_matches_recorded_digest(name, command, capsys):
     assert main(COMMANDS[command] + ["--input", fixture_path(name)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name, command]
+
+
+CEVA_PROVE_STDERR = (
+    "5bc5e11720e6fb88c2f960f69c91ce3fd3d1d2c29e71cc0b33f4eaadc6836432")
+
+
+def test_ceva_prove_reason_matches_recorded_digest(tmp_path, capsys):
+    pres, cand = str(tmp_path / "ceva.pres"), str(tmp_path / "ceva.cand")
+    ceva = fixture_path("ceva")
+    assert main(["present", "--input", ceva, "--output", pres]) == 0
+    assert main(["candidate", "--input", ceva, "--output", cand]) == 0
+    assert main(["prove", "--input", pres, "--target", cand]) == 2
+    err = capsys.readouterr().err
+    assert hashlib.sha256(err.encode()).hexdigest() == CEVA_PROVE_STDERR

@@ -20,7 +20,7 @@ from arrgroup import (
     prove_equivalent,
     replay,
 )
-from arrgroup.prover import _reduce_trace
+from arrgroup.prover import _reduce_trace, _sites
 from conftest import pipeline
 
 
@@ -175,3 +175,25 @@ def test_reduce_trace_matches_the_leftmost_pair_scan(letters):
     for pos, g in reversed(trace):
         word[pos:pos] = [g, -g]
     assert word == letters
+
+
+def naive_sites(w, licenses):
+    """Reference: compare every license at every position of w."""
+    out = []
+    for lhs, rhs, tag in licenses:
+        for pos in range(len(w) - len(lhs) + 1):
+            if w[pos:pos + len(lhs)] == lhs:
+                out.append((pos, lhs, rhs, tag))
+    return out
+
+
+site_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                      max_size=12).map(tuple)
+
+
+@given(site_words, st.lists(st.tuples(site_words.filter(bool), site_words),
+                            max_size=8))
+def test_sites_match_the_naive_scan(w, rewrites):
+    licenses = [(lhs, rhs, ("swap", i, 0, 1, 0))
+                for i, (lhs, rhs) in enumerate(rewrites)]
+    assert list(_sites(w, licenses)) == naive_sites(w, licenses)

@@ -22,6 +22,7 @@ from arrgroup import (
     word_inverse,
     word_mul,
 )
+from arrgroup.vankampen import conjugate_all, conjugate_letter
 from conftest import pipeline
 
 
@@ -134,6 +135,15 @@ def test_canonical_form_invariant_under_conjugation_and_rotation(words, c, rot):
     rot = rot % len(moved)
     moved = moved[rot:] + moved[:rot]
     assert canonical_form(moved, 4) == canonical_form(words, 4)
+
+
+@given(st.lists(st.lists(letters, max_size=6).map(free_reduce), min_size=2,
+                max_size=4),
+       st.integers(min_value=1, max_value=4))
+def test_conjugate_letter_matches_conjugate_all(words, g):
+    for letter in (g, -g):
+        assert conjugate_letter(words, letter) == conjugate_all(words,
+                                                                (letter,))
 
 
 def test_candidate_is_conjugation_free():
