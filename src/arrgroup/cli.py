@@ -3,7 +3,7 @@
 Every subcommand reads flat text files (or stdin with ``--input -``) and
 writes deterministic output.  Exit codes: 0 on success, 2 when a bounded
 search ends honestly without an answer (Unknown verdict, aborted count),
-1 on errors.
+1 on errors, usage errors among them.
 """
 
 from __future__ import annotations
@@ -290,17 +290,39 @@ def _add_io(sub, output=True):
                          help="output file (default stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any bad input; argparse's own code 2 is
+    the code of an honest Unknown here.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A budget flag's value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {value}")
+    return value
+
+
 def _add_budget(sub):
-    sub.add_argument("--max-steps", type=int, default=None,
+    sub.add_argument("--max-steps", type=_count, default=None,
                      help="cap on accepted derivation steps")
-    sub.add_argument("--max-word-len", type=int, default=None,
+    sub.add_argument("--max-word-len", type=_count, default=None,
                      help="cap on intermediate word length")
-    sub.add_argument("--budget-nodes", type=int, default=None,
+    sub.add_argument("--budget-nodes", type=_count, default=None,
                      help="cap on search nodes per stalled relation")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arrgroup",
         description="Fundamental groups of real line arrangement "
                     "complements: presentations, certificates, verdicts.")
@@ -375,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s, output=False)
     s.add_argument("--group", "-g", default="S3",
                    help="S3|S4|A4|D4|A5 or a group-table file")
-    s.add_argument("--budget-nodes", type=int, default=None)
+    s.add_argument("--budget-nodes", type=_count, default=None)
     s.set_defaults(func=_cmd_homcount)
 
     s = subs.add_parser("fan", help="direct-sum structure of the "

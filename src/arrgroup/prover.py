@@ -44,16 +44,16 @@ from arrgroup.vankampen import (
 class Budget:
     """Caps for the proof search and downstream counting.
 
-    ``bfs_nodes``/``bfs_depth`` bound the per-relation rescue search that
-    runs when the guided phase stalls; ``hom_nodes`` caps the backtracking
-    tree of homomorphism counting.
+    ``max_word_len`` caps every entry a search move produces;
+    ``max_steps`` caps the forward steps of a certificate; ``bfs_nodes``
+    caps the per-relation rescue search that runs when the guided phase
+    stalls; ``hom_nodes`` caps the backtracking tree of homomorphism
+    counting.
     """
 
     max_word_len: int = 64
     max_steps: int = 20000
-    plateau_nodes: int = 4000
     bfs_nodes: int = 20000
-    bfs_depth: int = 12
     hom_nodes: int = 100_000_000
 
     def __post_init__(self):
@@ -62,6 +62,10 @@ class Budget:
             if value < 0:
                 raise ValueError(f"budget {f.name} must be non-negative, "
                                  f"got {value}")
+
+
+PLATEAU_NODES = 4000  # nodes of one entry's plateau search
+BFS_DEPTH = 12  # moves on one path of the rescue search
 
 
 class ProverError(Exception):
@@ -118,29 +122,27 @@ def _comm_sides(src_words, e1, s1, e2, s2):
     return free_reduce(a + b), free_reduce(b + a)
 
 
-def _comm_variants(src_words):
+def _relation_licenses(s, ws):
+    """The substitutions relation s (entries ws) licenses, as (lhs, rhs,
+    tag): a 2-bracket commutes its entries, and every relation trades one
+    split-point product (or its inverse) for another.  The tag is (kind, s,
+    forward fields, inverse fields) of the certificate steps."""
     out = []
-    for (e1, e2) in ((0, 1), (1, 0)):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                lhs, rhs = _comm_sides(src_words, e1, s1, e2, s2)
-                if lhs and lhs != rhs:
-                    out.append((lhs, rhs, (e1, s1, e2, s2)))
-    return out
-
-
-def _swap_variants(src_words):
-    prods = rotation_products(src_words)
-    out = []
-    for m1 in range(len(prods)):
-        for m2 in range(len(prods)):
-            if m1 == m2:
-                continue
-            for iv in (0, 1):
-                lhs = _signed(prods[m1], 1 - 2 * iv)
-                rhs = _signed(prods[m2], 1 - 2 * iv)
-                if lhs and lhs != rhs:
-                    out.append((lhs, rhs, (m1, m2, iv)))
+    if len(ws) == 2:
+        for (e1, e2), s1, s2 in itertools.product(((0, 1), (1, 0)),
+                                                  (1, -1), (1, -1)):
+            lhs, rhs = _comm_sides(ws, e1, s1, e2, s2)
+            if lhs and lhs != rhs:
+                out.append((lhs, rhs, ("comm", s, (e1, s1, e2, s2),
+                                       (e2, s2, e1, s1))))
+    prods = rotation_products(ws)
+    for m1, m2 in itertools.permutations(range(len(prods)), 2):
+        for iv in (0, 1):
+            lhs = _signed(prods[m1], 1 - 2 * iv)
+            rhs = _signed(prods[m2], 1 - 2 * iv)
+            if lhs and lhs != rhs:
+                out.append((lhs, rhs, ("swap", s, (m1, m2, iv),
+                                       (m2, m1, iv))))
     return out
 
 
@@ -178,15 +180,40 @@ def _sites(w, licenses):
                 yield pos, lhs, rhs, tag
 
 
+def _rewrite(w, pos, lhs, rhs):
+    """Replace the lhs at pos in w by rhs and freely reduce: (word, trace)."""
+    return _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+
+
 # ---------------------------------------------------------------------------
-# prover state: applies moves while recording forward and inverse steps
+# search moves: ("conj", g) conjugates every entry of a relation by g;
+# ("subst", e, pos, lhs, rhs, tag) rewrites entry e at one licensed site
 # ---------------------------------------------------------------------------
 
+def _move(words, move, max_len):
+    """The relation's words after one move and the free-reduction trace of
+    a substitution (a conjugation leaves none), or None when an entry the
+    move changes grows longer than max_len."""
+    if move[0] == "conj":
+        new = conjugate_letter(words, move[1])
+        if any(len(w) > max_len for w in new):
+            return None
+        return new, ()
+    _, e, pos, lhs, rhs, _ = move
+    red, trace = _rewrite(words[e], pos, lhs, rhs)
+    if len(red) > max_len:
+        return None
+    return words[:e] + (red,) + words[e + 1:], trace
+
+
 class _State:
+    """The relations under rewriting, with the forward steps so far and one
+    block of inverse steps per move, in chronological order."""
+
     def __init__(self, source: Presentation, budget: Budget):
-        self.rels = [list(rel.words) for rel in source.relations]
+        self.rels = [rel.words for rel in source.relations]
         self.forward = []
-        self.backward = []  # reverse-chronological: executable back to front
+        self.backward = []
         self.budget = budget
         # (relation index, its words) -> that relation's licenses; lives for
         # one proof, so it never outgrows the states that proof visits
@@ -196,14 +223,13 @@ class _State:
         return sum(len(w) for w in self.rels[r])
 
     def snapshot(self):
-        return ([list(r) for r in self.rels], len(self.forward),
-                len(self.backward))
+        return list(self.rels), len(self.forward), len(self.backward)
 
     def restore(self, snap):
         rels, nf, nb = snap
-        self.rels = [list(r) for r in rels]
+        self.rels = list(rels)
         del self.forward[nf:]
-        del self.backward[:len(self.backward) - nb]
+        del self.backward[nb:]
 
     def _bump(self, n=1):
         if len(self.forward) + n > self.budget.max_steps:
@@ -218,43 +244,32 @@ class _State:
         self._bump()
         self.rels[r] = words[k:] + words[:k]
         self.forward.append(("rot", r, k))
-        self.backward[0:0] = [("rot", r, (n - k) % n)]
+        self.backward.append([("rot", r, (n - k) % n)])
 
-    def apply_conj(self, r, g):
-        self._bump()
-        new = list(conjugate_letter(self.rels[r], g))
-        if any(len(w) > self.budget.max_word_len for w in new):
-            raise _WordTooLong
-        self.rels[r] = new
-        self.forward.append(("conj", r, g))
-        self.backward[0:0] = [("conj", r, -g)]
-
-    def apply_subst(self, r, e, pos, lhs, rhs, fwd, bwd):
-        self._bump(2)
-        w = tuple(self.rels[r][e])
-        if w[pos:pos + len(lhs)] != lhs:
-            raise ProverError("substitution site mismatch")
-        unreduced = w[:pos] + rhs + w[pos + len(lhs):]
-        reduced, trace = _reduce_trace(unreduced)
-        if len(reduced) > self.budget.max_word_len:
-            raise _WordTooLong
-        self.rels[r][e] = reduced
-        self.forward.extend([fwd, ("reduce", r, e)])
-        expands = [("expand", r, e, p, g) for (p, g) in reversed(trace)]
-        self.backward[0:0] = expands + [bwd]
-
-    def apply_licensed(self, r, move):
-        e, pos, lhs, rhs, tag = move
-        if tag[0] == "comm":
-            _, s, e1, s1, e2, s2 = tag
-            fwd = ("comm", r, e, pos, s, e1, s1, e2, s2)
-            bwd = ("comm", r, e, pos, s, e2, s2, e1, s1)
+    def apply(self, r, move):
+        """Apply one search move to relation r: the step budget is charged
+        first, then the word length is checked."""
+        words = self.rels[r]
+        if move[0] == "conj":
+            self._bump()
+            steps = [("conj", r, move[1])]
+            undo = [("conj", r, -move[1])]
         else:
-            _, s, m1, m2, iv = tag
-            fwd = ("swap", r, e, pos, s, m1, m2, iv)
-            bwd = ("swap", r, e, pos, s, m2, m1, iv)
-        self.apply_subst(r, e, pos, lhs, rhs, fwd, bwd)
-
+            self._bump(2)
+            _, e, pos, lhs, _, (kind, s, fwd, bwd) = move
+            if words[e][pos:pos + len(lhs)] != lhs:
+                raise ProverError("substitution site mismatch")
+            steps = [(kind, r, e, pos, s) + fwd, ("reduce", r, e)]
+            undo = [(kind, r, e, pos, s) + bwd]
+        moved = _move(words, move, self.budget.max_word_len)
+        if moved is None:
+            raise _WordTooLong
+        self.rels[r], trace = moved
+        self.forward.extend(steps)
+        # re-expand the free reduction, last cancellation first, then undo
+        # the rewrite (a conjugation leaves no trace; move[1] is the entry)
+        self.backward.append([("expand", r, move[1], p, g)
+                              for p, g in reversed(trace)] + undo)
 
     def licenses(self, skip):
         """The licenses every relation but ``skip`` grants, relation by
@@ -263,41 +278,48 @@ class _State:
         for s, ws in enumerate(self.rels):
             if s == skip:
                 continue
-            key = (s, tuple(ws))
-            lic = self.license_memo.get(key)
+            lic = self.license_memo.get((s, ws))
             if lic is None:
-                lic = self.license_memo[key] = _relation_licenses(s, ws)
+                lic = self.license_memo[s, ws] = _relation_licenses(s, ws)
             out.extend(lic)
         return out
 
 
-def _relation_licenses(s, ws):
-    out = []
-    if len(ws) == 2:
-        for lhs, rhs, (e1, s1, e2, s2) in _comm_variants(ws):
-            out.append((lhs, rhs, ("comm", s, e1, s1, e2, s2)))
-    for lhs, rhs, (m1, m2, iv) in _swap_variants(ws):
-        out.append((lhs, rhs, ("swap", s, m1, m2, iv)))
-    return out
-
-
-def _find_shortening(rels, r, licenses):
-    for e, w in enumerate(rels[r]):
-        w = tuple(w)
-        for pos, lhs, rhs, tag in _sites(w, licenses):
-            red, _ = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
-            if len(red) < len(w):
-                return (e, pos, lhs, rhs, tag)
+def _pool_rotation(words, pool):
+    """The least k such that words rotated by k is a waiting target, or
+    None."""
+    for k in range(len(words)):
+        if pool.get(words[k:] + words[:k]):
+            return k
     return None
 
 
+def _try_claim(state, r, pool, claims):
+    k = _pool_rotation(state.rels[r], pool)
+    if k is None:
+        return False
+    state.apply_rot(r, k)
+    claims[r] = pool[state.rels[r]].pop(0)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# guided phase: strip, plateau and lookahead, relation by relation
+# ---------------------------------------------------------------------------
+
 def _strip_fixpoint(state, r):
+    """Apply the first licensed substitution that shortens an entry until
+    none does; reports whether any was applied."""
     progressed = False
     while True:
-        move = _find_shortening(state.rels, r, state.licenses(r))
+        licenses = state.licenses(r)
+        move = next((("subst", e) + site
+                     for e, w in enumerate(state.rels[r])
+                     for site in _sites(w, licenses)
+                     if len(_rewrite(w, *site[:3])[0]) < len(w)), None)
         if move is None:
             return progressed
-        state.apply_licensed(r, move)
+        state.apply(r, move)
         progressed = True
 
 
@@ -307,34 +329,32 @@ def _entry_plateau(state, r):
     as when a product of a plain bracket must be re-split before anything
     cancels).  Applies the found path and reports success."""
     licenses = state.licenses(r)
-    budget = state.budget
-    for e in range(len(state.rels[r])):
-        start = tuple(state.rels[r][e])
+    for e, start in enumerate(state.rels[r]):
         if len(start) < 3:
             continue
-        found = _plateau_path(start, licenses, budget.plateau_nodes)
+        found = _plateau_path(e, start, licenses)
         if found:
-            for pos, lhs, rhs, tag in found:
-                state.apply_licensed(r, (e, pos, lhs, rhs, tag))
+            for move in found:
+                state.apply(r, move)
             return True
     return False
 
 
-def _plateau_path(start, licenses, node_cap):
+def _plateau_path(e, start, licenses):
     visited = {start}
     queue = deque([(start, ())])
     nodes = 0
     while queue:
         w, path = queue.popleft()
-        for pos, lhs, rhs, tag in _sites(w, licenses):
-            red, _ = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+        for site in _sites(w, licenses):
+            red, _ = _rewrite(w, *site[:3])
             if len(red) > len(start) or red in visited:
                 continue
-            newpath = path + ((pos, lhs, rhs, tag),)
+            newpath = path + (("subst", e) + site,)
             if len(red) < len(start):
                 return newpath
             nodes += 1
-            if nodes > node_cap:
+            if nodes > PLATEAU_NODES:
                 return None
             visited.add(red)
             queue.append((red, newpath))
@@ -343,14 +363,9 @@ def _plateau_path(start, licenses, node_cap):
 
 def _improve_fixpoint(state, r):
     progressed = False
-    while True:
-        if _strip_fixpoint(state, r):
-            progressed = True
-            continue
-        if _entry_plateau(state, r):
-            progressed = True
-            continue
-        return progressed
+    while _strip_fixpoint(state, r) or _entry_plateau(state, r):
+        progressed = True
+    return progressed
 
 
 def _wrap_depth(w):
@@ -360,55 +375,32 @@ def _wrap_depth(w):
     return d
 
 
-def _rot_hits_pool(words, pool):
-    words = tuple(tuple(w) for w in words)
-    n = len(words)
-    for k in range(n):
-        if pool.get(words[k:] + words[:k]):
-            return True
-    return False
-
-
 def _conj_lookahead(state, r, pool):
     """Peel a conjugating prefix off one wrapped entry (re-splitting the
     relation), then strip; keep the chain only if it shortens the relation
     or lands on an unclaimed target."""
     total0 = state.total_len(r)
     for e in range(len(state.rels[r])):
-        depth = _wrap_depth(tuple(state.rels[r][e]))
+        depth = _wrap_depth(state.rels[r][e])
         if depth == 0:
             continue
         for dd in range(1, depth + 1):
             snap = state.snapshot()
             try:
-                ok = True
                 for _ in range(dd):
-                    w = tuple(state.rels[r][e])
+                    w = state.rels[r][e]
                     if len(w) < 3 or w[0] != -w[-1]:
-                        ok = False
                         break
-                    state.apply_conj(r, w[0])
-                if ok:
+                    state.apply(r, ("conj", w[0]))
+                else:
                     _improve_fixpoint(state, r)
                     if (state.total_len(r) < total0
-                            or _rot_hits_pool(state.rels[r], pool)):
+                            or _pool_rotation(state.rels[r], pool)
+                            is not None):
                         return True
             except _WordTooLong:
                 pass
             state.restore(snap)
-    return False
-
-
-def _try_claim(state, r, pool, claims):
-    cur = tuple(tuple(w) for w in state.rels[r])
-    n = len(cur)
-    for k in range(n):
-        rot = cur[k:] + cur[:k]
-        waiting = pool.get(rot)
-        if waiting:
-            state.apply_rot(r, k)
-            claims[r] = waiting.pop(0)
-            return True
     return False
 
 
@@ -424,10 +416,8 @@ def _guided_phase(state, pool, claims):
                 continue
             if _improve_fixpoint(state, r):
                 progress = True
-            if r not in claims and _try_claim(state, r, pool, claims):
+            if _try_claim(state, r, pool, claims):
                 progress = True
-                continue
-            if r in claims:
                 continue
             if _conj_lookahead(state, r, pool):
                 progress = True
@@ -438,60 +428,36 @@ def _guided_phase(state, pool, claims):
 # breadth-first rescue for relations the guided phase cannot finish
 # ---------------------------------------------------------------------------
 
-def _simulate(words, move, max_len):
-    if move[0] == "conj":
-        new = conjugate_letter(words, move[1])
-    else:
-        _, e, pos, lhs, rhs = move[:5]
-        w = words[e]
-        if w[pos:pos + len(lhs)] != lhs:
-            return None
-        red, _ = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
-        new = words[:e] + (red,) + words[e + 1:]
-    if any(len(w) > max_len for w in new):
-        return None
-    return new
-
-
-def _bfs_moves(words, licenses, ngens):
-    for g in range(1, ngens + 1):
-        yield ("conj", g), None
-        yield ("conj", -g), None
-    for e, w in enumerate(words):
-        for pos, lhs, rhs, tag in _sites(w, licenses):
-            yield ("subst", e, pos, lhs, rhs), tag
-
-
 def _bfs_rescue(state, r, pool, ngens):
     """Best-first search (priority: total relation length, then insertion
     order) over single-relation moves, other relations frozen."""
     budget = state.budget
-    base = tuple(tuple(w) for w in state.rels[r])
+    base = state.rels[r]
     licenses = state.licenses(r)
+    conjs = [("conj", s * g) for g in range(1, ngens + 1) for s in (1, -1)]
     visited = {base}
     counter = itertools.count()
     heap = [(sum(len(w) for w in base), next(counter), base, ())]
     nodes = 0
     while heap:
         _, _, words, path = heapq.heappop(heap)
-        if len(path) >= budget.bfs_depth:
+        if len(path) >= BFS_DEPTH:
             continue
-        for move, tag in _bfs_moves(words, licenses, ngens):
-            new = _simulate(words, move, budget.max_word_len)
-            if new is None or new in visited:
+        substs = (("subst", e) + site for e, w in enumerate(words)
+                  for site in _sites(w, licenses))
+        for move in itertools.chain(conjs, substs):
+            moved = _move(words, move, budget.max_word_len)
+            if moved is None or moved[0] in visited:
                 continue
+            new = moved[0]
             nodes += 1
             if nodes > budget.bfs_nodes:
                 return False
             visited.add(new)
-            newpath = path + ((move, tag),)
-            if _rot_hits_pool(new, pool):
-                for mv, mtag in newpath:
-                    if mv[0] == "conj":
-                        state.apply_conj(r, mv[1])
-                    else:
-                        _, e, pos, lhs, rhs = mv
-                        state.apply_licensed(r, (e, pos, lhs, rhs, mtag))
+            newpath = path + (move,)
+            if _pool_rotation(new, pool) is not None:
+                for m in newpath:
+                    state.apply(r, m)
                 return True
             heapq.heappush(heap, (sum(len(w) for w in new), next(counter),
                                   new, newpath))
@@ -506,7 +472,7 @@ def _unmatched_report(state, claims):
     stuck = []
     for r in range(len(state.rels)):
         if r not in claims:
-            body = " ; ".join(format_word(tuple(w)) for w in state.rels[r])
+            body = " ; ".join(format_word(w) for w in state.rels[r])
             stuck.append(f"relation {r}: [ {body} ]")
     return "; ".join(stuck)
 
@@ -559,7 +525,9 @@ def prove_equivalent(source: Presentation, target: Presentation,
         nrels=len(state.rels),
         match=tuple(sorted(claims.items())),
         forward=tuple(state.forward),
-        backward=tuple(state.backward),
+        # the inverse blocks, latest first: executable front to back
+        backward=tuple(step for block in reversed(state.backward)
+                       for step in block),
     )
     try:
         replay(source, target, cert)

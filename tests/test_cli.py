@@ -271,14 +271,44 @@ def test_homcount_rejects_unknown_presentation_kinds(name, text, tmp_path,
             in capsys.readouterr().err)
 
 
+def exit_code(argv):
+    """main's exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("verdict", "--max-word-len", "-1"),
     ("verdict", "--max-steps", "-1"),
     ("verdict", "--budget-nodes", "-5"),
+    ("prove", "--max-steps", "-1"),
     ("homcount", "--budget-nodes", "-5"),
 ])
 def test_negative_budgets_are_errors(command, flag, value, tmp_path, capsys):
-    source = (tri_path() if command == "verdict"
-              else triangle_presentation_file(tmp_path, capsys))
-    assert main([command, "--input", source, flag, value]) == 1
-    assert "must be non-negative" in capsys.readouterr().err
+    argv = [command, flag, value, "--input"]
+    if command == "verdict":
+        argv.append(tri_path())
+    else:
+        argv.append(triangle_presentation_file(tmp_path, capsys))
+    if command == "prove":
+        argv += ["--target", argv[-1]]
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be non-negative" in err
+    assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verdict", "--max-steps", "abc"], "expected a non-negative integer"),
+    (["verdict"], "the following arguments are required: --input"),
+    (["no-such-command"], "invalid choice: 'no-such-command'"),
+])
+def test_usage_errors_exit_one_not_the_unknown_code(argv, message, capsys):
+    if "--max-steps" in argv:
+        argv = argv + ["--input", tri_path()]
+    assert exit_code(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: arrgroup")
+    assert message in err

@@ -8,9 +8,15 @@ verdict, so its digest covers both; it is recorded only where the fixture
 certifies.  The digest of ``prove``'s stderr on ceva's presentation against
 its candidate (an Unknown with the stuck relations) was recorded before the
 prover's per-proof license memo and site index, which must not change it.
+The ``verdict`` digests of two generated arrangements (a 12-line k-pencil,
+whose proof needs the lookahead and plateau phases, and a generic 10-line
+arrangement) and of cycle5 under two small budgets (each Unknown names the
+budget it exhausted) were recorded before the prover's search moves were
+gathered into one move tuple and one apply.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -70,3 +76,54 @@ def test_ceva_prove_reason_matches_recorded_digest(tmp_path, capsys):
     assert main(["prove", "--input", pres, "--target", cand]) == 2
     err = capsys.readouterr().err
     assert hashlib.sha256(err.encode()).hexdigest() == CEVA_PROVE_STDERR
+
+
+def _through(x, y, slope):
+    # the line through (x, y) with this slope: -slope*X + Y = y - slope*x
+    return f"{-slope} 1 {y - slope * x}\n"
+
+
+def k_pencil_12():
+    """Line i has slope i/3 and passes through centre i mod 4: four triple
+    points, every other point double."""
+    centres = [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(4), Fraction(-11, 3)),
+               (Fraction(13, 2), Fraction(17, 4)), (Fraction(-9, 2), Fraction(-6))]
+    return "".join(_through(*centres[i % 4], Fraction(i + 1, 3))
+                   for i in range(12))
+
+
+def generic_10():
+    slopes = [Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), Fraction(1),
+              Fraction(7, 5), Fraction(2), Fraction(12, 5), Fraction(3),
+              Fraction(18, 5), Fraction(5)]
+    intercepts = [Fraction(-17, 2), Fraction(3), Fraction(-29, 4),
+                  Fraction(11, 3), Fraction(1, 2), Fraction(-5),
+                  Fraction(23, 3), Fraction(-2, 5), Fraction(9),
+                  Fraction(-13, 4)]
+    return "".join(_through(0, c, m) for m, c in zip(slopes, intercepts))
+
+
+VERDICT_CASES = {
+    "k-pencil-12": (k_pencil_12, [], 0,
+                    "52befa52bc0a518b21eb06a98932e7509d3abed131dc9627e2097897ba3f0d41"),
+    "generic-10": (generic_10, [], 0,
+                   "bee23a2a169d2931de2a55d7accf9b28c1af016fc1d41e5f5866a1ba717dc927"),
+    "cycle5-max-steps-50": ("cycle5", ["--max-steps", "50"], 2,
+                            "cfb116f83fd028d750f7aa8396f5203423337940dac9f26c541ee9a9e9f3b8ec"),
+    "cycle5-max-word-len-8": ("cycle5", ["--max-word-len", "8"], 2,
+                              "04db773785f177a1ac5ace65677f34122c1a05058fd3b1fd87dee9496da2c52f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_matches_recorded_digest(case, tmp_path, capsys):
+    source, flags, code, digest = VERDICT_CASES[case]
+    if callable(source):
+        path = tmp_path / f"{case}.lines"
+        path.write_text(source())
+        source = str(path)
+    else:
+        source = fixture_path(source)
+    assert main(["verdict", "--input", source] + flags) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -108,7 +108,7 @@ def test_mismatched_shapes_are_unknown_not_errors():
 def test_tiny_budget_gives_honest_unknown():
     pipe = pipeline("triangle")
     cand = candidate_cf(pipe.lattice)
-    budget = Budget(max_steps=2, plateau_nodes=1, bfs_nodes=1, bfs_depth=1)
+    budget = Budget(max_steps=2, bfs_nodes=1)
     result = prove_equivalent(pipe.presentation, cand, budget)
     assert result.status in ("certified", "unknown")
     if result.status == "unknown":
