@@ -58,10 +58,11 @@ def parse_word(text, letter="x"):
         if body.endswith("^-1"):
             sign = -1
             body = body[:-3]
-        if not body.startswith(letter):
+        digits = body[len(letter):]
+        if not (body.startswith(letter) and digits.isascii()
+                and digits.isdigit()):
             raise ValueError(f"cannot parse word token {tok!r}")
-        idx = int(body[len(letter):])
-        letters.append(sign * idx)
+        letters.append(sign * int(digits))
     return free_reduce(letters)
 
 

@@ -13,6 +13,16 @@ involution x_g -> x_g^-1, which converts the Artin convention of
 the resulting word tuple by greedy simultaneous conjugation.  The shortening
 is sound: a simultaneous conjugation of all bracket entries re-chooses the
 point where the monodromy loop is split, which does not change the relation.
+
+``presentation`` does the transport with a running table: images[g] is the
+image of x_g under the inverse braid of the points swept so far.  Point i
+reads its words off the table, then the table takes the inverse half-twist
+of point i: its image of x_g, for g in a..b, is rewritten letter by letter
+through the table and freely reduced; every other generator is fixed.  Each
+point's half-twist is applied once, so the sweep is linear in the number of
+points, and since reduced words are unique the words equal those of
+``point_relation_words``, which rebuilds the whole prefix braid per point
+and is kept as the reference.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from arrgroup.braid import (
     braid_inverse,
     format_word,
     free_reduce,
+    halftwist,
     parse_word,
     prefix_braid,
     word_inverse,
@@ -64,25 +75,31 @@ def conjugate_letter(words, g):
 def greedy_shorten(words, ngens):
     """Strict-greedy minimal-total-length simultaneous conjugation.
 
-    Accept the first single-letter conjugation that strictly shortens the
-    total length, restart, stop at a fixpoint.  Deterministic.  Entries
-    must be freely reduced.
+    Apply single-letter conjugations that strictly shorten the total length
+    until none does.  Deterministic.  Entries must be freely reduced.
+
+    Conjugating a nonempty entry w by x changes its length by
+    (-1 if w[0] == x else +1) + (-1 if w[-1] == -x else +1), and leaves an
+    empty entry empty, so x shortens the bracket exactly when x is the first
+    letter of, or -x the last letter of, more than k entries in total, k the
+    number of nonempty entries.  Two letters cannot both pass that test (the
+    2k ends would have to hold more than 2k letters), so the letter to take
+    is unique and no order of trial matters.
     """
     cur = tuple(words)
-    best = sum(len(w) for w in cur)
-    improved = True
-    while improved:
-        improved = False
-        for g in range(1, ngens + 1):
-            for s in (1, -1):
-                cand = conjugate_letter(cur, s * g)
-                tot = sum(len(w) for w in cand)
-                if tot < best:
-                    cur, best, improved = cand, tot, True
-                    break
-            if improved:
-                break
-    return cur
+    while True:
+        k = 0
+        ends = {}
+        for w in cur:
+            if w:
+                k += 1
+                ends[w[0]] = ends.get(w[0], 0) + 1
+                ends[-w[-1]] = ends.get(-w[-1], 0) + 1
+        x = next((x for x, n in ends.items() if n > k and abs(x) <= ngens),
+                 None)
+        if x is None:
+            return cur
+        cur = conjugate_letter(cur, x)
 
 
 def canonical_rotation(words):
@@ -179,7 +196,11 @@ class Presentation:
 def point_relation_words(pl: PairList, i: int):
     """Relation words of point i: the meridians x_a..x_b of the wires through
     the point, transported through the inverse of the accumulated prefix
-    braid.  The first point gets plain generators."""
+    braid.  The first point gets plain generators.
+
+    This is the per-point reference: it rebuilds and applies the whole
+    prefix braid, so it costs time quadratic in the number of points.
+    ``presentation`` does not call it; it carries the images instead."""
     braid = braid_inverse(prefix_braid(pl, i))
     a, b = pl.pairs[i - 1]
     return [
@@ -187,15 +208,34 @@ def point_relation_words(pl: PairList, i: int):
     ]
 
 
+def _substitute(images, w):
+    """The freely reduced image of word w when each x_g maps to images[g]."""
+    out = []
+    for c in w:
+        for d in images[c] if c > 0 else word_inverse(images[-c]):
+            if out and out[-1] == -d:
+                out.pop()
+            else:
+                out.append(d)
+    return tuple(out)
+
+
 def presentation(pl: PairList) -> Presentation:
     """The affine presentation: ngens = number of wires, one bracket per
     point."""
     validate_pairs(pl)
-    rels = tuple(
-        CyclicRelation.make(point_relation_words(pl, i), pl.ell)
-        for i in range(1, len(pl.pairs) + 1)
-    )
-    return Presentation(pl.ell, rels, "affine")
+    # images[g]: x_g under the inverse braid of the points swept so far
+    images = [()] + [(g,) for g in range(1, pl.ell + 1)]
+    rels = []
+    for i, (a, b) in enumerate(pl.pairs, 1):
+        words = [tuple(reversed(images[t])) for t in range(a, b + 1)]
+        rels.append(CyclicRelation.make(words, pl.ell))
+        if i == len(pl.pairs):
+            break  # no point reads the table after the last one
+        twist = braid_inverse(halftwist(a, b, pl.ell))
+        images[a:b + 1] = [_substitute(images, artin_apply(twist, (g,)))
+                           for g in range(a, b + 1)]
+    return Presentation(pl.ell, tuple(rels), "affine")
 
 
 @dataclass(frozen=True)
@@ -328,7 +368,11 @@ def parse_presentation(text: str) -> Presentation:
         if not body:
             continue
         if body.startswith("gens="):
-            ngens = int(body[5:])
+            try:
+                ngens = int(body[5:])
+            except ValueError:
+                raise ValueError(f"line {lineno}: gens= expects an integer, "
+                                 f"got {body[5:]!r}")
             continue
         if body.startswith("kind="):
             kind = body[5:].strip()
@@ -338,7 +382,10 @@ def parse_presentation(text: str) -> Presentation:
         if ngens is None:
             raise ValueError("missing gens= header before relations")
         inner = body[1:-1].strip()
-        words = tuple(parse_word(part.strip()) for part in inner.split(";"))
+        try:
+            words = tuple(parse_word(part) for part in inner.split(";"))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}")
         rels.append(CyclicRelation.make(words, ngens))
     if ngens is None:
         raise ValueError("missing gens= header")

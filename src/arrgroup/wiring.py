@@ -191,6 +191,14 @@ def format_pairs(pl: PairList) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pairs_int(token, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise WiringError("bad-pairs-file",
+                          f"line {lineno}: expected an integer, got {token!r}")
+
+
 def parse_pairs(text: str) -> PairList:
     ell = None
     pairs = []
@@ -201,12 +209,12 @@ def parse_pairs(text: str) -> PairList:
         if ell is None:
             if not body.startswith("ell="):
                 raise WiringError("bad-pairs-file", f"line {lineno}: expected ell=<n>")
-            ell = int(body[4:])
+            ell = _pairs_int(body[4:], lineno)
             continue
         toks = body.split()
         if len(toks) != 2:
             raise WiringError("bad-pairs-file", f"line {lineno}: expected 'a b'")
-        pairs.append((int(toks[0]), int(toks[1])))
+        pairs.append((_pairs_int(toks[0], lineno), _pairs_int(toks[1], lineno)))
     if ell is None:
         raise WiringError("bad-pairs-file", "missing ell= header")
     return PairList(ell, tuple(pairs))

@@ -127,5 +127,12 @@ def test_word_format_round_trip():
     assert parse_word(format_word(())) == ()
 
 
+@pytest.mark.parametrize("token", ["x-1", "x+2", "x", "x1.0", "x1^-1^-1",
+                                   "x\u0663"])
+def test_parse_word_takes_only_decimal_digits_after_the_letter(token):
+    with pytest.raises(ValueError, match="cannot parse word token"):
+        parse_word(token)
+
+
 def test_braid_format_is_stable():
     assert format_braid((1, -2, 3)) == "s1 s2^-1 s3"

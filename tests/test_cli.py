@@ -271,6 +271,27 @@ def test_homcount_rejects_unknown_presentation_kinds(name, text, tmp_path,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, name, text, message", [
+    ("homcount", "minus.pres", "gens=2\n[ x-1 ; x2 ]\n",
+     "line 2: cannot parse word token 'x-1'"),
+    ("homcount", "plus.pres", "gens=3\n[ x+2 ; x1 ]\n",
+     "line 2: cannot parse word token 'x+2'"),
+    ("homcount", "gens.pres", "gens=abc\n[ x1 ; x2 ]\n",
+     "line 1: gens= expects an integer, got 'abc'"),
+    ("present", "ell.pairs", "# wires\nell=abc\n1 2\n",
+     "line 2: expected an integer, got 'abc'"),
+    ("present", "pair.pairs", "ell=3\n1 2\n2 x\n",
+     "line 3: expected an integer, got 'x'"),
+])
+def test_malformed_numbers_are_errors_naming_the_line(command, name, text,
+                                                      message, tmp_path,
+                                                      capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def exit_code(argv):
     """main's exit code, whether returned or raised by argparse."""
     try:

@@ -12,7 +12,10 @@ The ``verdict`` digests of two generated arrangements (a 12-line k-pencil,
 whose proof needs the lookahead and plateau phases, and a generic 10-line
 arrangement) and of cycle5 under two small budgets (each Unknown names the
 budget it exhausted) were recorded before the prover's search moves were
-gathered into one move tuple and one apply.
+gathered into one move tuple and one apply.  The ``present`` digests of a
+24-line k-pencil and of a 12-wire pair list with wide points in the middle
+and at the end were recorded before the sweep carried the meridians' images
+from point to point.
 """
 
 import hashlib
@@ -83,13 +86,13 @@ def _through(x, y, slope):
     return f"{-slope} 1 {y - slope * x}\n"
 
 
-def k_pencil_12():
-    """Line i has slope i/3 and passes through centre i mod 4: four triple
-    points, every other point double."""
+def k_pencil(n):
+    """Line i has slope i/3 and passes through centre i mod 4: four points
+    of multiplicity n/4, every other point double."""
     centres = [(Fraction(-7, 3), Fraction(5, 2)), (Fraction(4), Fraction(-11, 3)),
                (Fraction(13, 2), Fraction(17, 4)), (Fraction(-9, 2), Fraction(-6))]
     return "".join(_through(*centres[i % 4], Fraction(i + 1, 3))
-                   for i in range(12))
+                   for i in range(n))
 
 
 def generic_10():
@@ -104,7 +107,7 @@ def generic_10():
 
 
 VERDICT_CASES = {
-    "k-pencil-12": (k_pencil_12, [], 0,
+    "k-pencil-12": (lambda: k_pencil(12), [], 0,
                     "52befa52bc0a518b21eb06a98932e7509d3abed131dc9627e2097897ba3f0d41"),
     "generic-10": (generic_10, [], 0,
                    "bee23a2a169d2931de2a55d7accf9b28c1af016fc1d41e5f5866a1ba717dc927"),
@@ -125,5 +128,38 @@ def test_verdict_matches_recorded_digest(case, tmp_path, capsys):
     else:
         source = fixture_path(source)
     assert main(["verdict", "--input", source] + flags) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A realizable 12-wire pair list (every two wires cross once) whose widest
+# points sit in the middle of the sweep, (4, 8), and at its end, (4, 9).
+WIDE_PAIRS = (
+    (9, 10), (8, 9), (3, 4), (7, 8), (4, 5), (5, 6), (6, 7), (5, 6), (4, 5),
+    (7, 8), (10, 11), (2, 3), (9, 10), (8, 9), (7, 8), (3, 4), (11, 12),
+    (10, 11), (9, 10), (8, 9), (1, 2), (2, 3), (4, 5), (3, 4), (4, 8), (3, 4),
+    (8, 9), (7, 8), (2, 3), (1, 2), (4, 5), (10, 11), (11, 12), (2, 3),
+    (9, 10), (8, 9), (3, 4), (10, 11), (9, 10), (11, 12), (10, 11), (2, 3),
+    (4, 9))
+
+
+def wide_pairs_12():
+    return "ell=12\n" + "".join(f"{a} {b}\n" for a, b in WIDE_PAIRS)
+
+
+PRESENT_CASES = {
+    "k-pencil-24": (lambda: k_pencil(24), "lines",
+                    "bb80cc45c9c63a8803207130bab27d8458c7df429f8fde9715c26a61384bd9b6"),
+    "wide-pairs-12": (wide_pairs_12, "pairs",
+                      "b85fb989a85aed0313c6be925bea4112ed28f3d7ff300e835494c02f5cdbe9dc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESENT_CASES))
+def test_present_matches_recorded_digest(case, tmp_path, capsys):
+    source, suffix, digest = PRESENT_CASES[case]
+    path = tmp_path / f"{case}.{suffix}"
+    path.write_text(source())
+    assert main(["present", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,5 +1,8 @@
 """Presentations from pair lists: golden targets, canonical forms, candidates."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,17 +16,21 @@ from arrgroup import (
     format_presentation_json,
     free_reduce,
     is_conjugation_free,
+    parse_arrangement,
     parse_presentation,
     parse_presentation_json,
     point_relation_words,
     presentation,
     projectivize,
     relabel_presentation,
+    sweep,
     word_inverse,
     word_mul,
 )
-from arrgroup.vankampen import conjugate_all, conjugate_letter
-from conftest import pipeline
+from arrgroup.vankampen import conjugate_all, conjugate_letter, greedy_shorten
+from arrgroup.wiring import PairList
+from conftest import FIXTURE_NAMES, pipeline
+from test_golden import WIDE_PAIRS, _through
 
 
 def conj(c, core):
@@ -124,6 +131,38 @@ letters = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
 short_words = st.lists(letters, min_size=1, max_size=2).map(tuple)
 
 
+def greedy_shorten_every_letter(words, ngens):
+    """The reference greedy: try every conjugating letter in the order x1,
+    x1^-1, x2, ..., take the first that strictly shortens, restart."""
+    cur = tuple(words)
+    best = sum(len(w) for w in cur)
+    improved = True
+    while improved:
+        improved = False
+        for g in range(1, ngens + 1):
+            for s in (1, -1):
+                cand = conjugate_letter(cur, s * g)
+                tot = sum(len(w) for w in cand)
+                if tot < best:
+                    cur, best, improved = cand, tot, True
+                    break
+            if improved:
+                break
+    return cur
+
+
+entries = st.one_of(st.just(()), letters.map(lambda c: (c,)),
+                    st.lists(letters, max_size=6).map(free_reduce))
+
+
+@given(st.lists(entries, min_size=1, max_size=5),
+       st.lists(letters, max_size=4).map(tuple))
+def test_greedy_shorten_matches_every_letter_reference(words, c):
+    for bracket in (words, [free_reduce(conj(c, w)) for w in words]):
+        assert (greedy_shorten(bracket, 4)
+                == greedy_shorten_every_letter(bracket, 4))
+
+
 @given(
     st.lists(short_words, min_size=2, max_size=3),
     st.lists(letters, max_size=3).map(tuple),
@@ -144,6 +183,59 @@ def test_conjugate_letter_matches_conjugate_all(words, g):
     for letter in (g, -g):
         assert conjugate_letter(words, letter) == conjugate_all(words,
                                                                 (letter,))
+
+
+def reference_relations(pl):
+    """One bracket per point from the per-point transport."""
+    return tuple(CyclicRelation.make(point_relation_words(pl, i), pl.ell)
+                 for i in range(1, len(pl.pairs) + 1))
+
+
+def seeded_lines(family, n, seed):
+    """A k-pencil (line i of slope i/3 through centre i mod 4), a generic
+    arrangement or a single pencil on n lines, from seeded rationals."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 3))
+
+    if family == "k-pencil":
+        centres = [(rational(), rational()) for _ in range(4)]
+        return "".join(_through(*centres[i % 4], Fraction(i + 1, 3))
+                       for i in range(n))
+    slopes = [Fraction(m, 5) for m in sorted(rng.sample(range(1, 200), n))]
+    if family == "generic":
+        return "".join(_through(0, rational(), m) for m in slopes)
+    centre = (rational(), rational())
+    return "".join(_through(*centre, m) for m in slopes)
+
+
+# The two small lists need not be realizable: the sweep only asks that the
+# points account for every crossing, sum C(b - a + 1, 2) = C(ell, 2).
+HAND_PAIRS = {
+    "wide-middle-and-end": PairList(12, WIDE_PAIRS),
+    "wide-in-middle": PairList(6, ((2, 3), (1, 4), (5, 6), (1, 2), (2, 5))),
+    "wide-at-end": PairList(5, ((1, 3), (4, 5), (2, 5))),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_presentation_matches_per_point_reference_on_fixtures(name):
+    pipe = pipeline(name)
+    assert pipe.presentation.relations == reference_relations(pipe.pairs)
+
+
+@pytest.mark.parametrize("family", ["k-pencil", "generic", "pencil"])
+@pytest.mark.parametrize("n, seed", [(5, 1), (8, 2), (12, 3), (16, 4)])
+def test_presentation_matches_per_point_reference_on_seeded(family, n, seed):
+    pl = sweep(parse_arrangement(seeded_lines(family, n, seed))).pairs
+    assert presentation(pl).relations == reference_relations(pl)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_PAIRS))
+def test_presentation_matches_per_point_reference_on_wide_pairs(name):
+    pl = HAND_PAIRS[name]
+    assert presentation(pl).relations == reference_relations(pl)
 
 
 def test_candidate_is_conjugation_free():
