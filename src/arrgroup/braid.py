@@ -42,13 +42,25 @@ def word_mul(*words):
     return tuple(out)
 
 
-def format_word(w, letter="x"):
+def substitute(images, w):
+    """The freely reduced image of word w when each x_g maps to images[g]."""
+    out = []
+    for c in w:
+        for d in images[c] if c > 0 else word_inverse(images[-c]):
+            if out and out[-1] == -d:
+                out.pop()
+            else:
+                out.append(d)
+    return tuple(out)
+
+
+def format_word(w):
     if not w:
         return "1"
-    return " ".join(f"{letter}{c}" if c > 0 else f"{letter}{-c}^-1" for c in w)
+    return " ".join(f"x{c}" if c > 0 else f"x{-c}^-1" for c in w)
 
 
-def parse_word(text, letter="x"):
+def parse_word(text):
     letters = []
     for tok in text.split():
         if tok == "1":
@@ -58,8 +70,8 @@ def parse_word(text, letter="x"):
         if body.endswith("^-1"):
             sign = -1
             body = body[:-3]
-        digits = body[len(letter):]
-        if not (body.startswith(letter) and digits.isascii()
+        digits = body[1:]
+        if not (body.startswith("x") and digits.isascii()
                 and digits.isdigit()):
             raise ValueError(f"cannot parse word token {tok!r}")
         letters.append(sign * int(digits))

@@ -14,20 +14,20 @@ from dataclasses import replace as dc_replace
 from importlib import resources
 
 from arrgroup.geometry import (ArrangementError, compute_lattice,
-                               multiple_point_graph, parse_arrangement)
-from arrgroup.grouptheory import (StructureError, fan_structure,
-                                  oka_sakamoto_split, semidirect_fixture)
-from arrgroup.invariants import (GroupTableError, builtin_group, hom_count,
-                                 parse_group_table)
-from arrgroup.prover import (Budget, ProverError, ReplayError, cf_verdict,
+                               multiple_point_graph, parse_arrangement,
+                               records)
+from arrgroup.grouptheory import (fan_structure, oka_sakamoto_split,
+                                  semidirect_fixture)
+from arrgroup.invariants import builtin_group, hom_count, parse_group_table
+from arrgroup.prover import (Budget, ProverError, cf_verdict,
                              format_certificate, format_verdict,
                              parse_certificate, prove_equivalent, replay)
 from arrgroup.vankampen import (candidate_cf, format_presentation,
                                 format_presentation_json, parse_presentation,
                                 parse_presentation_json, presentation,
                                 projectivize, sweep)
-from arrgroup.wiring import (WiringError, format_pairs, parse_pairs,
-                             validate_pairs, wiring_svg)
+from arrgroup.wiring import (format_pairs, parse_pairs, validate_pairs,
+                             wiring_svg)
 
 _BUILTIN_GROUPS = ("S3", "S4", "A4", "D4", "A5")
 
@@ -56,11 +56,7 @@ def _write(path, text: str):
 
 
 def _effective_first_line(text: str) -> str:
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            return body
-    return ""
+    return next((body for _, body in records(text)), "")
 
 
 def _load_pairs(path: str):
@@ -165,7 +161,8 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_candidate(args) -> int:
-    lat = compute_lattice(parse_arrangement(_read(args.input)))
+    # the sweep's lattice, in the point order verdict's certificates use
+    lat = sweep(parse_arrangement(_read(args.input))).lattice
     ordering = None
     if args.ordering is not None:
         ordering = _parse_ordering(args.ordering, allow_modes=False)
@@ -425,8 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArrangementError, WiringError, ProverError, ReplayError,
-            StructureError, GroupTableError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

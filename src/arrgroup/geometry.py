@@ -70,6 +70,24 @@ class Arrangement:
         return iter(self.lines)
 
 
+def records(text: str):
+    """The records of a line format: (lineno, body) for each line that is
+    not blank once its ``#`` comment and surrounding blanks are dropped.
+    Every text input of the package reads its lines through this."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield lineno, body
+
+
+def integer(token: str, lineno: int, what: str = "expected an integer") -> int:
+    """int(token), or a ValueError naming the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what}, got {token!r}") from None
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
     try:
         return Fraction(token)
@@ -87,10 +105,7 @@ def parse_arrangement(text: str) -> Arrangement:
     skipped.  Lines are normalized; the file order is preserved.
     """
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         tokens = body.split()
         if len(tokens) != 3:
             raise ArrangementError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from arrgroup.braid import substitute
 from arrgroup.geometry import Arrangement, compute_lattice
 from arrgroup.vankampen import CyclicRelation, Presentation
 
@@ -90,10 +91,9 @@ def direct_sum(parts) -> Presentation:
         total += p.ngens
     rels = []
     for p, off in zip(parts, offsets):
+        images = [()] + [(g + off,) for g in range(1, p.ngens + 1)]
         for rel in p.relations:
-            shifted = tuple(
-                tuple(c + off if c > 0 else c - off for c in w)
-                for w in rel.words)
+            shifted = tuple(substitute(images, w) for w in rel.words)
             rels.append(CyclicRelation.make(shifted, total))
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):

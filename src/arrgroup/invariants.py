@@ -13,6 +13,8 @@ from math import gcd
 
 import numpy as np
 
+from arrgroup.braid import substitute
+from arrgroup.geometry import integer, records
 from arrgroup.vankampen import Presentation
 
 
@@ -118,7 +120,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # finite group tables
 # ---------------------------------------------------------------------------
 
-class GroupTableError(Exception):
+class GroupTableError(ValueError):
     pass
 
 
@@ -138,6 +140,8 @@ class FiniteGroupTable:
     @staticmethod
     def make(rows, names=None) -> "FiniteGroupTable":
         order = len(rows)
+        if order == 0:
+            raise GroupTableError("empty table: a group has an identity")
         if any(len(r) != order for r in rows):
             raise GroupTableError("table is not square")
         for r in rows:
@@ -227,16 +231,13 @@ def parse_group_table(text: str) -> FiniteGroupTable:
     order = None
     names = None
     rows = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         if body.startswith("order="):
-            order = int(body[6:])
+            order = integer(body[6:], lineno)
         elif body.startswith("names="):
             names = tuple(body[6:].split())
         else:
-            rows.append(tuple(int(t) for t in body.split()))
+            rows.append(tuple(integer(t, lineno) for t in body.split()))
     if order is None:
         raise GroupTableError("missing order= header")
     if len(rows) != order:
@@ -278,13 +279,14 @@ def _assignment_order(p: Presentation):
     """Greedy generator order that makes equations decidable as early as
     possible: each step takes the generator completing the most pending
     equation supports (ties: most pending appearances, then lowest
-    index)."""
+    index).  Once every equation is decidable the rest follow in ascending
+    order, so generators that no relation mentions cost nothing."""
     eqs = _equations(p)
     order = []
     assigned = set()
     remaining = set(range(1, p.ngens + 1))
     pending = list(eqs)
-    while remaining:
+    while pending:
         def score(g):
             completes = sum(1 for _, _, s in pending
                             if g in s and s <= assigned | {g})
@@ -295,22 +297,26 @@ def _assignment_order(p: Presentation):
         assigned.add(best)
         remaining.discard(best)
         pending = [e for e in pending if not e[2] <= assigned]
-    return order
+    return order + sorted(remaining)
+
+
+def _columns(order):
+    """Layer coordinates as a substitution table: generator order[j-1]
+    becomes column j."""
+    col = [()] * (len(order) + 1)
+    for j, g in enumerate(order, 1):
+        col[g] = (j,)
+    return col
 
 
 def _constraints_by_layer(p: Presentation, order):
     """Equations grouped by the first layer of the assignment order where
-    they are decidable, rewritten into layer coordinates (generator
-    order[j-1] becomes column j)."""
-    col = {g: j + 1 for j, g in enumerate(order)}
-
-    def recode(word):
-        return tuple(col[c] if c > 0 else -col[-c] for c in word)
-
+    they are decidable, rewritten into layer coordinates."""
+    col = _columns(order)
     layers = {j: [] for j in range(1, len(order) + 1)}
     for base, q, support in _equations(p):
-        layer = max(col[g] for g in support)
-        layers[layer].append((recode(base), recode(q)))
+        layer = max(col[g][0] for g in support)
+        layers[layer].append((substitute(col, base), substitute(col, q)))
     for eqs in layers.values():
         eqs.sort(key=lambda e: (len(e[0]) + len(e[1]), e))
     return layers
@@ -320,18 +326,14 @@ def _brackets_by_layer(p: Presentation, order):
     """Whole brackets grouped by the layer where all their entries are
     decidable (every split-point equality of a bracket has the same
     support), entries recoded into layer coordinates."""
-    col = {g: j + 1 for j, g in enumerate(order)}
-
-    def recode(word):
-        return tuple(col[c] if c > 0 else -col[-c] for c in word)
-
+    col = _columns(order)
     layers = {j: [] for j in range(1, len(order) + 1)}
     for rel in p.relations:
         support = {abs(c) for w in rel.words for c in w}
         if not support:
             continue
-        layer = max(col[g] for g in support)
-        layers[layer].append(tuple(recode(w) for w in rel.words))
+        layer = max(col[g][0] for g in support)
+        layers[layer].append(tuple(substitute(col, w) for w in rel.words))
     for brs in layers.values():
         brs.sort(key=lambda ws: (sum(len(w) for w in ws), ws))
     return layers

@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
+from arrgroup.geometry import integer, records
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
@@ -68,11 +69,11 @@ PLATEAU_NODES = 4000  # nodes of one entry's plateau search
 BFS_DEPTH = 12  # moves on one path of the rescue search
 
 
-class ProverError(Exception):
+class ProverError(ValueError):
     pass
 
 
-class ReplayError(Exception):
+class ReplayError(ValueError):
     """A certificate failed verification; carries a machine-readable code."""
 
     def __init__(self, code, message):
@@ -665,47 +666,52 @@ def format_certificate(cert: Certificate) -> str:
 
 _STEP_ARITY = {"rot": 2, "conj": 2, "reduce": 2, "expand": 4,
                "comm": 8, "swap": 7}
+# the fields of every record after the gens= and relations= headers
+_RECORD_FIELDS = {**_STEP_ARITY, "match": 2, "forward": 1, "backward": 1}
 
 
 def parse_certificate(text: str) -> Certificate:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != "certificate-v1":
+    lines = records(text)
+    if next(lines, (0, None))[1] != "certificate-v1":
         raise ReplayError("bad-file", "not a certificate file")
     ngens = nrels = None
     match = []
-    forward = []
-    backward = []
+    steps = {"forward": [], "backward": []}
+    declared = {}
     section = None
-    for ln in lines[1:]:
-        if ln == "end":
+    for lineno, body in lines:
+        if body == "end":
             break
-        if ln.startswith("gens="):
-            ngens = int(ln[5:])
-        elif ln.startswith("relations="):
-            nrels = int(ln[10:])
-        elif ln.startswith("match "):
-            _, a, b = ln.split()
-            match.append((int(a), int(b)))
-        elif ln.startswith("forward "):
-            section = forward
-        elif ln.startswith("backward "):
-            section = backward
+        if body.startswith("gens="):
+            ngens = integer(body[5:], lineno)
+            continue
+        if body.startswith("relations="):
+            nrels = integer(body[10:], lineno)
+            continue
+        kind, *args = body.split()
+        if kind not in _RECORD_FIELDS:
+            raise ReplayError("bad-file", f"unknown step kind {kind!r}")
+        if len(args) != _RECORD_FIELDS[kind]:
+            raise ReplayError("bad-file", f"line {lineno}: {kind} expects "
+                              f"{_RECORD_FIELDS[kind]} fields: {body!r}")
+        values = tuple(integer(x, lineno) for x in args)
+        if kind == "match":
+            match.append(values)
+        elif kind in steps:
+            declared[kind] = values[0]
+            section = steps[kind]
+        elif section is None:
+            raise ReplayError("bad-file", "step outside forward/backward section")
         else:
-            parts = ln.split()
-            kind = parts[0]
-            if kind not in _STEP_ARITY:
-                raise ReplayError("bad-file", f"unknown step kind {kind!r}")
-            if len(parts) - 1 != _STEP_ARITY[kind]:
-                raise ReplayError("bad-file", f"step {kind} expects "
-                                  f"{_STEP_ARITY[kind]} fields: {ln!r}")
-            if section is None:
-                raise ReplayError("bad-file", "step outside forward/backward section")
-            section.append((kind,) + tuple(int(x) for x in parts[1:]))
+            section.append((kind,) + values)
     if ngens is None or nrels is None:
         raise ReplayError("bad-file", "missing gens= or relations= header")
-    return Certificate(ngens, nrels, tuple(match), tuple(forward),
-                       tuple(backward))
+    for kind, count in declared.items():
+        if count != len(steps[kind]):
+            raise ReplayError("bad-file", f"{kind} declares {count} steps, "
+                              f"found {len(steps[kind])}")
+    return Certificate(ngens, nrels, tuple(match), tuple(steps["forward"]),
+                       tuple(steps["backward"]))
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,12 @@ from arrgroup.braid import (
     halftwist,
     parse_word,
     prefix_braid,
+    substitute,
     word_inverse,
     word_mul,
 )
-from arrgroup.geometry import Arrangement, IntersectionLattice
+from arrgroup.geometry import (Arrangement, IntersectionLattice, integer,
+                               records)
 from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
                              validate_pairs)
 
@@ -119,7 +121,10 @@ def rotation_products(words):
     return out
 
 
-def canonical_form(words, ngens, cap=512):
+CANONICAL_CAP = 512  # canonical_form stops widening its plateau walk here
+
+
+def canonical_form(words, ngens):
     """Conjugation-and-rotation canonical representative of a bracket.
 
     Greedy shortening first, then a breadth-first walk over all simultaneous
@@ -133,7 +138,7 @@ def canonical_form(words, ngens, cap=512):
     total = sum(len(w) for w in start)
     seen = {start}
     frontier = [start]
-    while frontier and len(seen) < cap:
+    while frontier and len(seen) < CANONICAL_CAP:
         nxt = []
         for cur in frontier:
             for g in range(1, ngens + 1):
@@ -208,18 +213,6 @@ def point_relation_words(pl: PairList, i: int):
     ]
 
 
-def _substitute(images, w):
-    """The freely reduced image of word w when each x_g maps to images[g]."""
-    out = []
-    for c in w:
-        for d in images[c] if c > 0 else word_inverse(images[-c]):
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return tuple(out)
-
-
 def presentation(pl: PairList) -> Presentation:
     """The affine presentation: ngens = number of wires, one bracket per
     point."""
@@ -233,7 +226,7 @@ def presentation(pl: PairList) -> Presentation:
         if i == len(pl.pairs):
             break  # no point reads the table after the last one
         twist = braid_inverse(halftwist(a, b, pl.ell))
-        images[a:b + 1] = [_substitute(images, artin_apply(twist, (g,)))
+        images[a:b + 1] = [substitute(images, artin_apply(twist, (g,)))
                            for g in range(a, b + 1)]
     return Presentation(pl.ell, tuple(rels), "affine")
 
@@ -262,20 +255,6 @@ def sweep(arr: Arrangement) -> Sweep:
     return Sweep(generic, transform, lattice, _sweep_pairs(generic, lattice))
 
 
-def _substitute_last(w, ngens):
-    """Replace x_ngens by (x_{ngens-1} ... x_1)^-1 in a word."""
-    expansion = tuple(-g for g in range(1, ngens))
-    out = []
-    for c in w:
-        if c == ngens:
-            out.extend(expansion)
-        elif c == -ngens:
-            out.extend(-e for e in reversed(expansion))
-        else:
-            out.append(c)
-    return free_reduce(out)
-
-
 def projectivize(p: Presentation) -> Presentation:
     """Impose the far-side relation x_n ... x_2 x_1 = e and eliminate x_n.
 
@@ -285,9 +264,12 @@ def projectivize(p: Presentation) -> Presentation:
     if p.kind != "affine":
         raise ValueError("presentation is already projective")
     n = p.ngens
+    # x_n -> (x_{n-1} ... x_1)^-1; every other generator is fixed
+    images = [()] + [(g,) for g in range(1, n)]
+    images.append(tuple(-g for g in range(1, n)))
     rels = []
     for rel in p.relations:
-        words = tuple(_substitute_last(w, n) for w in rel.words)
+        words = tuple(substitute(images, w) for w in rel.words)
         new = CyclicRelation.make(words, n - 1)
         products = new.rotation_products()
         if len(set(products)) == 1:
@@ -339,12 +321,10 @@ def relabel_presentation(p: Presentation, newlabels) -> Presentation:
     if sorted(newlabels) != list(range(1, p.ngens + 1)):
         raise ValueError("newlabels must be a permutation of the generators")
 
-    def rename(c):
-        return newlabels[c - 1] if c > 0 else -newlabels[-c - 1]
-
+    images = [()] + [(g,) for g in newlabels]
     rels = tuple(
         CyclicRelation.make(
-            tuple(tuple(rename(c) for c in w) for w in rel.words), p.ngens)
+            tuple(substitute(images, w) for w in rel.words), p.ngens)
         for rel in p.relations)
     return Presentation(p.ngens, rels, p.kind)
 
@@ -363,16 +343,9 @@ def parse_presentation(text: str) -> Presentation:
     ngens = None
     kind = "affine"
     rels = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         if body.startswith("gens="):
-            try:
-                ngens = int(body[5:])
-            except ValueError:
-                raise ValueError(f"line {lineno}: gens= expects an integer, "
-                                 f"got {body[5:]!r}")
+            ngens = integer(body[5:], lineno, "gens= expects an integer")
             continue
         if body.startswith("kind="):
             kind = body[5:].strip()

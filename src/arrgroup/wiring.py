@@ -15,7 +15,8 @@ from itertools import chain
 from math import comb
 
 from arrgroup.geometry import (Arrangement, IntersectionLattice,
-                               IntersectionPoint, Line, compute_lattice)
+                               IntersectionPoint, Line, compute_lattice,
+                               integer, records)
 
 
 class WiringError(ValueError):
@@ -191,30 +192,19 @@ def format_pairs(pl: PairList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pairs_int(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise WiringError("bad-pairs-file",
-                          f"line {lineno}: expected an integer, got {token!r}")
-
-
 def parse_pairs(text: str) -> PairList:
     ell = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in records(text):
         if ell is None:
             if not body.startswith("ell="):
                 raise WiringError("bad-pairs-file", f"line {lineno}: expected ell=<n>")
-            ell = _pairs_int(body[4:], lineno)
+            ell = integer(body[4:], lineno)
             continue
         toks = body.split()
         if len(toks) != 2:
             raise WiringError("bad-pairs-file", f"line {lineno}: expected 'a b'")
-        pairs.append((_pairs_int(toks[0], lineno), _pairs_int(toks[1], lineno)))
+        pairs.append((integer(toks[0], lineno), integer(toks[1], lineno)))
     if ell is None:
         raise WiringError("bad-pairs-file", "missing ell= header")
     return PairList(ell, tuple(pairs))

@@ -113,6 +113,27 @@ def test_verdict_certified_writes_certificate(tmp_path, capsys):
     assert cert.read_text().startswith("certificate-v1")
 
 
+# the triangle under (x, y) -> (x + y + 1, y + 2), its lines in wire order;
+# it sweeps only after a shear, which re-sorts the lattice points
+SHEARED_TRIANGLE = "0 1 3\n1 0 1\n1 1/3 5/3\n1 1/2 -1/2\n1 1 3\n1 5/4 19/4\n"
+
+
+def test_readme_recipe_replays_on_a_sheared_input(tmp_path, capsys):
+    arr = tmp_path / "sheared.lines"
+    arr.write_text(SHEARED_TRIANGLE)
+    assert main(["pairs", "--input", str(arr)]) == 0
+    assert capsys.readouterr().out.startswith("# sheared by")
+    pres, cand, cert = (str(tmp_path / name) for name in
+                        ("sheared.pres", "cand.pres", "sheared.cert"))
+    assert main(["verdict", "--input", str(arr), "--certificate", cert]) == 0
+    assert main(["present", "--input", str(arr), "--output", pres]) == 0
+    assert main(["candidate", "--input", str(arr), "--output", cand]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--input", cert, "--source", pres,
+                 "--target", cand]) == 0
+    assert "certificate ok" in capsys.readouterr().out
+
+
 def test_verdict_unknown_exits_two(capsys):
     rc = main(["verdict", "--input", fixture_path("ceva")])
     assert rc == 2

@@ -15,7 +15,23 @@ from arrgroup import (
     multiple_point_graph,
     parse_arrangement,
 )
+from arrgroup.geometry import integer, records
 from conftest import FIXTURE_NAMES, fixture_arrangement, pipeline
+
+
+def test_records_drop_comments_blanks_and_empty_lines():
+    text = "# header\n\n  1 2 3  # tail\n\t\n4 5 6\n#"
+    assert list(records(text)) == [(3, "1 2 3"), (5, "4 5 6")]
+
+
+def test_integer_names_the_line():
+    assert integer(" 7", 3) == 7
+    with pytest.raises(ValueError,
+                       match="^line 3: expected an integer, got '7/2'$"):
+        integer("7/2", 3)
+    with pytest.raises(ValueError,
+                       match="^line 1: gens= expects an integer, got 'x'$"):
+        integer("x", 1, "gens= expects an integer")
 
 
 def test_parse_comments_and_blank_lines():

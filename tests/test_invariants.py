@@ -72,6 +72,8 @@ def test_group_table_validation():
     z2 = FiniteGroupTable.make(((0, 1), (1, 0)), ("e", "t"))
     assert z2.inverse == (0, 1)
     with pytest.raises(GroupTableError):
+        FiniteGroupTable.make(())
+    with pytest.raises(GroupTableError):
         FiniteGroupTable.make(((0, 1),))
     with pytest.raises(GroupTableError):
         FiniteGroupTable.make(((1, 0), (0, 1)))
@@ -89,6 +91,16 @@ def test_group_table_round_trip():
     assert parse_group_table(format_group_table(s4)) == s4
     with pytest.raises(GroupTableError):
         parse_group_table("names=a b\n0 1\n1 0\n")
+    with pytest.raises(GroupTableError):
+        parse_group_table("order=0\n")
+    with pytest.raises(ValueError,
+                       match="^line 2: expected an integer, got 'abc'$"):
+        parse_group_table("# Z/2\norder=abc\n0 1\n1 0\n")
+    with pytest.raises(ValueError,
+                       match="^line 3: expected an integer, got 't'$"):
+        parse_group_table("order=2\n0 1\n1 t\n")
+    z2 = parse_group_table("order=2  # Z/2\nnames=e t\n0 1  # e\n1 0\n")
+    assert z2 == FiniteGroupTable.make(((0, 1), (1, 0)), ("e", "t"))
 
 
 def test_hom_counts_free_and_abelian():

@@ -63,6 +63,10 @@ def test_certificate_text_round_trip():
     result = prove_equivalent(two_gen_source(), two_gen_target())
     cert = result.certificate
     assert parse_certificate(format_certificate(cert)) == cert
+    # comments and blank lines are dropped, as in every other line format
+    commented = "# two generators\n\n" + format_certificate(cert).replace(
+        "\n", "  # note\n")
+    assert parse_certificate(commented) == cert
 
 
 def test_parse_certificate_rejects_garbage():
@@ -73,6 +77,21 @@ def test_parse_certificate_rejects_garbage():
     )
     with pytest.raises(ReplayError):
         parse_certificate(good.replace("certificate-v1", "certificate-v9"))
+    cert = parse_certificate(good)
+    for kind, n in (("forward", len(cert.forward)),
+                    ("backward", len(cert.backward))):
+        with pytest.raises(ReplayError,
+                           match=f"bad-file: {kind} declares {n + 1} steps"):
+            parse_certificate(good.replace(f"\n{kind} {n}\n",
+                                           f"\n{kind} {n + 1}\n"))
+    with pytest.raises(ReplayError, match="bad-file: line 5: match expects"):
+        parse_certificate(good.replace("match 1 1", "match 1"))
+    with pytest.raises(ValueError,
+                       match="^line 2: expected an integer, got 'x'$"):
+        parse_certificate(good.replace("gens=3", "gens=x"))
+    with pytest.raises(ValueError,
+                       match="^line 8: expected an integer, got 'one'$"):
+        parse_certificate(good.replace("reduce 0 1", "reduce 0 one"))
 
 
 def test_replay_rejects_tampered_certificates():
