@@ -5,18 +5,17 @@ isomorphic groups, so the panel doubles as a separation table."""
 
 import argparse
 import time
-from importlib import resources
 
 from arrgroup import (
+    FIXTURES,
+    Budget,
     builtin_group,
+    fixture_path,
     hom_count,
     parse_arrangement,
     semidirect_fixture,
     sweep,
 )
-
-ARRANGEMENTS = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
-                "cycle5", "ceva")
 
 
 def sources(names):
@@ -24,18 +23,18 @@ def sources(names):
         if name.startswith("semidirect-"):
             yield name, semidirect_fixture(name.split("-", 1)[1])
             continue
-        path = resources.files("arrgroup").joinpath(f"fixtures/{name}.lines")
-        yield name, sweep(parse_arrangement(path.read_text())).presentation
+        text = fixture_path(name).read_text()
+        yield name, sweep(parse_arrangement(text)).presentation
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--names", nargs="*",
-                    default=list(ARRANGEMENTS) + ["semidirect-ceva",
-                                                  "semidirect-triangle"])
+                    default=list(FIXTURES) + ["semidirect-ceva",
+                                              "semidirect-triangle"])
     ap.add_argument("--groups", nargs="*", default=["S3", "A4", "D4"],
                     help="built-in groups; S4 and A5 work but cost more")
-    ap.add_argument("--budget-nodes", type=int, default=100_000_000)
+    ap.add_argument("--budget-nodes", type=int, default=Budget.hom_nodes)
     args = ap.parse_args(argv)
 
     tables = [(g, builtin_group(g)) for g in args.groups]

@@ -4,29 +4,22 @@ cycle rank of the multiple-point graph, certifier verdict and a hom-count."""
 
 import argparse
 import time
-from importlib import resources
 
 from arrgroup import (
+    FIXTURES,
     builtin_group,
     cf_verdict,
+    fixture_path,
     hom_count,
     multiple_point_graph,
     parse_arrangement,
     sweep,
 )
 
-NAMES = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
-         "cycle5", "ceva")
-
-
-def load(name):
-    path = resources.files("arrgroup").joinpath(f"fixtures/{name}.lines")
-    return parse_arrangement(path.read_text())
-
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--names", nargs="*", default=NAMES,
+    ap.add_argument("--names", nargs="*", default=FIXTURES,
                     help="fixture names to survey")
     ap.add_argument("--group", default="S3",
                     help="finite group for the hom-count column")
@@ -39,7 +32,7 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     for name in args.names:
-        swept = sweep(load(name))
+        swept = sweep(parse_arrangement(fixture_path(name).read_text()))
         lat, pres = swept.lattice, swept.presentation
         graph = multiple_point_graph(lat)
         t0 = time.perf_counter()

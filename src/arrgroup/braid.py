@@ -159,8 +159,3 @@ def prefix_braid(pl, i):
         word.extend(halftwist(a, b, pl.ell))
     return tuple(word)
 
-
-def format_braid(braid):
-    if not braid:
-        return "1"
-    return " ".join(f"s{t}" if t > 0 else f"s{-t}^-1" for t in braid)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace as dc_replace
-from importlib import resources
+from decimal import Decimal
 
-from arrgroup.geometry import (ArrangementError, compute_lattice,
+from arrgroup.geometry import (FIXTURES, compute_lattice, fixture_path,
                                multiple_point_graph, parse_arrangement,
                                records)
 from arrgroup.grouptheory import (fan_structure, oka_sakamoto_split,
@@ -25,14 +24,12 @@ from arrgroup.prover import (Budget, ProverError, cf_verdict,
 from arrgroup.vankampen import (candidate_cf, format_presentation,
                                 format_presentation_json, parse_presentation,
                                 parse_presentation_json, presentation,
-                                projectivize, sweep)
+                                projectivize, relabel_presentation, sweep)
 from arrgroup.wiring import (format_pairs, parse_pairs, validate_pairs,
                              wiring_svg)
 
 _BUILTIN_GROUPS = ("S3", "S4", "A4", "D4", "A5")
 
-_FIXTURES = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
-             "cycle5", "ceva")
 _PRESENTATION_FIXTURES = ("semidirect-ceva", "semidirect-triangle")
 
 
@@ -77,9 +74,8 @@ def _load_presentation(path: str):
 
 
 def _load_group(name_or_path: str):
-    for name in _BUILTIN_GROUPS:
-        if name_or_path.upper() == name:
-            return builtin_group(name)
+    if name_or_path.upper() in _BUILTIN_GROUPS:
+        return builtin_group(name_or_path)
     return parse_group_table(_read(name_or_path))
 
 
@@ -95,15 +91,8 @@ def _parse_ordering(value: str, allow_modes: bool):
 
 
 def _budget(args) -> Budget:
-    b = Budget()
-    kw = {}
-    if getattr(args, "max_steps", None) is not None:
-        kw["max_steps"] = args.max_steps
-    if getattr(args, "max_word_len", None) is not None:
-        kw["max_word_len"] = args.max_word_len
-    if getattr(args, "budget_nodes", None) is not None:
-        kw["bfs_nodes"] = args.budget_nodes
-    return dc_replace(b, **kw) if kw else b
+    return Budget(max_word_len=args.max_word_len, max_steps=args.max_steps,
+                  bfs_nodes=args.budget_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +128,9 @@ def _cmd_graph(args) -> int:
 def _cmd_pairs(args) -> int:
     swept = sweep(parse_arrangement(_read(args.input)))
     text = format_pairs(swept.pairs)
+    if swept.lines != tuple(range(1, len(swept.lines) + 1)):
+        text = ("# input line of each wire: "
+                + " ".join(map(str, swept.lines)) + "\n" + text)
     if not swept.transform.is_identity:
         text = f"# sheared by x -> x + {swept.transform.t}*y\n" + text
     _write(args.output, text)
@@ -161,12 +153,14 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_candidate(args) -> int:
-    # the sweep's lattice, in the point order verdict's certificates use
+    # the sweep's lattice, in the point order and wire numbering verdict's
+    # certificates use; with an ordering, the certificate target
     lat = sweep(parse_arrangement(_read(args.input))).lattice
-    ordering = None
-    if args.ordering is not None:
+    if args.ordering is None:
+        pres = candidate_cf(lat)
+    else:
         ordering = _parse_ordering(args.ordering, allow_modes=False)
-    pres = candidate_cf(lat, ordering)
+        pres = relabel_presentation(candidate_cf(lat, ordering), ordering)
     text = (format_presentation_json(pres) if args.json
             else format_presentation(pres))
     _write(args.output, text)
@@ -219,14 +213,12 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_homcount(args) -> int:
     pres = _load_presentation(args.input)
-    table = _load_group(args.group)
-    budget = (Budget() if args.budget_nodes is None
-              else Budget(hom_nodes=args.budget_nodes))
-    res = hom_count(pres, table, budget.hom_nodes)
+    res = hom_count(pres, _load_group(args.group), args.budget_nodes)
     if res.outcome != "exact":
         print(f"aborted after {res.nodes} nodes (raise --budget-nodes)")
         return 2
-    print(f"count={res.count} nodes={res.nodes}")
+    # Decimal prints integers of any length; str() refuses past 4,300 digits
+    print(f"count={Decimal(res.count)} nodes={res.nodes}")
     return 0
 
 
@@ -255,7 +247,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_fixture(args) -> int:
     if not args.name:
-        for name in _FIXTURES:
+        for name in FIXTURES:
             print(f"{name} (arrangement)")
         for name in _PRESENTATION_FIXTURES:
             print(f"{name} (presentation)")
@@ -264,14 +256,7 @@ def _cmd_fixture(args) -> int:
         variant = args.name.split("-", 1)[1]
         _write(args.output, format_presentation(semidirect_fixture(variant)))
         return 0
-    if args.name not in _FIXTURES:
-        raise ArrangementError(
-            "unknown-fixture",
-            f"no fixture named {args.name!r}; run 'arrgroup fixture' "
-            "for the list")
-    path = resources.files("arrgroup").joinpath(
-        f"fixtures/{args.name}.lines")
-    _write(args.output, path.read_text(encoding="utf-8"))
+    _write(args.output, fixture_path(args.name).read_text(encoding="utf-8"))
     return 0
 
 
@@ -310,11 +295,12 @@ def _count(text: str) -> int:
 
 
 def _add_budget(sub):
-    sub.add_argument("--max-steps", type=_count, default=None,
+    sub.add_argument("--max-steps", type=_count, default=Budget.max_steps,
                      help="cap on accepted derivation steps")
-    sub.add_argument("--max-word-len", type=_count, default=None,
+    sub.add_argument("--max-word-len", type=_count,
+                     default=Budget.max_word_len,
                      help="cap on intermediate word length")
-    sub.add_argument("--budget-nodes", type=_count, default=None,
+    sub.add_argument("--budget-nodes", type=_count, default=Budget.bfs_nodes,
                      help="cap on search nodes per stalled relation")
 
 
@@ -394,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s, output=False)
     s.add_argument("--group", "-g", default="S3",
                    help="S3|S4|A4|D4|A5 or a group-table file")
-    s.add_argument("--budget-nodes", type=_count, default=None)
+    s.add_argument("--budget-nodes", type=_count, default=Budget.hom_nodes)
     s.set_defaults(func=_cmd_homcount)
 
     s = subs.add_parser("fan", help="direct-sum structure of the "

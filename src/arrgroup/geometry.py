@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
+from math import comb
 
 
 class ArrangementError(ValueError):
@@ -37,11 +39,8 @@ class Line:
         lead = a if a != 0 else b
         return Line(a / lead, b / lead, c / lead)
 
-    def value_at(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.a * x + self.b * y - self.c
-
     def contains(self, x: Fraction, y: Fraction) -> bool:
-        return self.value_at(x, y) == 0
+        return self.a * x + self.b * y == self.c
 
     @property
     def is_vertical(self) -> bool:
@@ -68,6 +67,19 @@ class Arrangement:
 
     def __iter__(self):
         return iter(self.lines)
+
+
+FIXTURES = ("pencil", "nearpencil", "triangle", "triangle_plus_line",
+            "cycle5", "ceva")
+
+
+def fixture_path(name: str):
+    """The shipped arrangement file of the fixture ``name``."""
+    if name not in FIXTURES:
+        raise ArrangementError(
+            "unknown-fixture",
+            f"no fixture named {name!r}; run 'arrgroup fixture' for the list")
+    return resources.files("arrgroup").joinpath(f"fixtures/{name}.lines")
 
 
 def records(text: str):
@@ -177,40 +189,39 @@ class MultipleGraph:
     betti: int
 
 
+def parallel_pairs(lat: IntersectionLattice):
+    """The pairs (i, j), i < j, of parallel lines, ascending: the pairs no
+    lattice point carries.  A point of multiplicity m carries C(m, 2) pairs,
+    so there are none when those counts add up to C(n, 2)."""
+    if sum(comb(pt.multiplicity, 2) for pt in lat.points) == comb(lat.n, 2):
+        return []
+    met = {pair for pt in lat.points for pair in combinations(pt.incident, 2)}
+    return [pair for pair in combinations(range(1, lat.n + 1), 2)
+            if pair not in met]
+
+
+def components(vertices, edges):
+    """The connected components of the graph on ``vertices`` with the edges
+    (u, v), each a sorted tuple, in ascending order."""
+    part = {v: {v} for v in vertices}
+    for u, v in edges:
+        if part[u] is not part[v]:
+            part[u] |= part[v]
+            for w in part[v]:
+                part[w] = part[u]
+    return sorted({tuple(sorted(p)) for p in part.values()})
+
+
 def multiple_point_graph(lat: IntersectionLattice) -> MultipleGraph:
     vertices = tuple(i for i, pt in enumerate(lat.points) if pt.multiplicity >= 3)
-    vset = set(vertices)
     edges = []
     for line_idx in range(1, lat.n + 1):
         on_line = [i for i in vertices if line_idx in lat.points[i].incident]
-        if len(on_line) < 2:
-            continue
-        on_line.sort(key=lambda i: _line_param(lat.points[i]))
+        # lexicographic (x, y) orders the points along any one line: x is
+        # strictly monotone on a non-vertical line, y on a vertical one
+        on_line.sort(key=lambda i: (lat.points[i].x, lat.points[i].y))
         for u, v in zip(on_line, on_line[1:]):
             edges.append((u, v, line_idx))
-    betti = _betti(vertices, edges)
-    return MultipleGraph(vertices, tuple(edges), betti)
-
-
-def _line_param(pt: IntersectionPoint):
-    # Lexicographic (x, y) is a valid order along any single line: on a
-    # non-vertical line x is strictly monotone; on a vertical one x is constant
-    # and y is strictly monotone.
-    return (pt.x, pt.y)
-
-
-def _betti(vertices, edges) -> int:
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    components = len({find(v) for v in vertices})
-    return len(edges) - len(vertices) + components
+    ncomp = len(components(vertices, ((u, v) for u, v, _ in edges)))
+    return MultipleGraph(vertices, tuple(edges),
+                         len(edges) - len(vertices) + ncomp)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from arrgroup.braid import substitute
-from arrgroup.geometry import Arrangement, compute_lattice
+from arrgroup.geometry import (Arrangement, components, compute_lattice,
+                               parallel_pairs)
 from arrgroup.vankampen import CyclicRelation, Presentation
 
 
@@ -115,34 +116,11 @@ def oka_sakamoto_split(arr: Arrangement):
     Lines are merged when parallel or when they share a multiple point.
     Returns sorted tuples of 1-based line labels; a single part means no
     splitting applies."""
-    n = len(arr)
-    parent = list(range(n + 1))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            l1, l2 = arr.lines[i - 1], arr.lines[j - 1]
-            if l1.a * l2.b == l2.a * l1.b:
-                union(i, j)
-    for pt in compute_lattice(arr).points:
-        if pt.multiplicity >= 3:
-            for other in pt.incident[1:]:
-                union(pt.incident[0], other)
-    groups = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                        key=lambda g: g[0]))
+    lat = compute_lattice(arr)
+    shared = [(pt.incident[0], other) for pt in lat.points
+              if pt.multiplicity >= 3 for other in pt.incident[1:]]
+    return tuple(components(range(1, len(arr) + 1),
+                            parallel_pairs(lat) + shared))
 
 
 def sub_arrangement(arr: Arrangement, labels) -> Arrangement:

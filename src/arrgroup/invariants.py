@@ -15,11 +15,11 @@ import numpy as np
 
 from arrgroup.braid import substitute
 from arrgroup.geometry import integer, records
-from arrgroup.vankampen import Presentation
+from arrgroup.vankampen import Presentation, rotation_products
 
 
 # ---------------------------------------------------------------------------
-# abelianization via integer Smith normal form
+# abelianization and integer Smith normal form
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -31,13 +31,6 @@ class AbelianInvariants:
         parts = [f"Z^{self.rank}"] if self.rank else []
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-
-def _exponent_vector(word, ngens):
-    v = [0] * ngens
-    for c in word:
-        v[abs(c) - 1] += 1 if c > 0 else -1
-    return v
 
 
 def smith_diagonal(rows, ncols):
@@ -100,20 +93,12 @@ def smith_diagonal(rows, ncols):
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariants of the abelianized group.  Each bracket contributes one
-    row per split-point equality (the difference of the two product
-    exponent vectors); for honest bracket input these rows vanish and the
-    result is free of rank ngens."""
-    rows = []
-    for rel in p.relations:
-        prods = rel.rotation_products()
-        base = _exponent_vector(prods[0], p.ngens)
-        for q in prods[1:]:
-            vec = _exponent_vector(q, p.ngens)
-            rows.append([a - b for a, b in zip(vec, base)])
-    diag = [d for d in smith_diagonal(rows, p.ngens) if d]
-    return AbelianInvariants(p.ngens - len(diag),
-                             tuple(d for d in diag if d > 1))
+    """Invariants of the abelianized group, which is always free of rank
+    ngens.  A bracket's split-point products are the cyclic rotations of
+    one word, w_k ... w_1, and rotating a word keeps its exponent vector, so
+    every split-point equality abelianizes to 0 = 0 and no relation
+    survives."""
+    return AbelianInvariants(p.ngens, ())
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +250,7 @@ def _equations(p: Presentation):
     support."""
     eqs = []
     for rel in p.relations:
-        prods = rel.rotation_products()
+        prods = rotation_products(rel.words)
         base = prods[0]
         for q in prods[1:]:
             support = frozenset(abs(c) for c in base) | frozenset(

@@ -30,11 +30,13 @@ from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.geometry import integer, records
+from arrgroup.invariants import builtin_group, hom_count
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
     conjugate_all,
     conjugate_letter,
+    format_presentation,
     is_conjugation_free,
     relabel_presentation,
     rotation_products,
@@ -622,27 +624,20 @@ def replay(source: Presentation, target: Presentation,
             or sorted(match.values()) != list(range(nrels))):
         raise ReplayError("bad-matching", "match is not a bijection")
 
-    rels = [list(rel.words) for rel in source.relations]
-    for step in cert.forward:
-        _replay_step(rels, step, nrels, cert.ngens)
-    for r in range(nrels):
-        got = tuple(tuple(w) for w in rels[r])
-        want = target.relations[match[r]].words
-        if got != want:
-            raise ReplayError(
-                "forward-mismatch",
-                f"relation {r} ended at {got}, target has {want}")
-
-    rels = [list(target.relations[match[r]].words) for r in range(nrels)]
-    for step in cert.backward:
-        _replay_step(rels, step, nrels, cert.ngens)
-    for r in range(nrels):
-        got = tuple(tuple(w) for w in rels[r])
-        want = source.relations[r].words
-        if got != want:
-            raise ReplayError(
-                "backward-mismatch",
-                f"relation {r} ended at {got}, source has {want}")
+    matched = [target.relations[match[r]] for r in range(nrels)]
+    for start, steps, end, direction, side in (
+            (source.relations, cert.forward, matched, "forward", "target"),
+            (matched, cert.backward, source.relations, "backward", "source")):
+        rels = [list(rel.words) for rel in start]
+        for step in steps:
+            _replay_step(rels, step, nrels, cert.ngens)
+        for r in range(nrels):
+            got = tuple(tuple(w) for w in rels[r])
+            want = end[r].words
+            if got != want:
+                raise ReplayError(
+                    f"{direction}-mismatch",
+                    f"relation {r} ended at {got}, {side} has {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -748,14 +743,13 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     n = pres.ngens
     if lattice.n != n:
         raise ProverError("lattice and presentation disagree on line count")
+    if orderings == "identity":
+        orderings = tuple(range(1, n + 1))
     if not isinstance(orderings, str):
         perm = tuple(orderings)
         if sorted(perm) != list(range(1, n + 1)):
             raise ProverError("explicit ordering must permute the lines")
         perms = [perm]
-        per_budget = budget
-    elif orderings == "identity":
-        perms = [tuple(range(1, n + 1))]
         per_budget = budget
     elif orderings == "all":
         if n > 8:
@@ -786,7 +780,6 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     if orderings != "all":
         return Verdict("Unknown", None, None, None, None, tried, len(cache),
                        (), result.reason)
-    from arrgroup.invariants import builtin_group, hom_count
     table = builtin_group("S3")
     src_count = hom_count(pres, table, budget.hom_nodes)
     evidence = [f"homomorphisms to S3: presentation {src_count.count}"]
@@ -812,7 +805,6 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
 
 
 def format_verdict(v: Verdict) -> str:
-    from arrgroup.vankampen import format_presentation
     lines = [f"status: {v.status}",
              f"orderings tried: {v.orderings_tried}",
              f"distinct candidates: {v.candidates_distinct}"]

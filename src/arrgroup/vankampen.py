@@ -43,8 +43,8 @@ from arrgroup.braid import (
     word_inverse,
     word_mul,
 )
-from arrgroup.geometry import (Arrangement, IntersectionLattice, integer,
-                               records)
+from arrgroup.geometry import (Arrangement, IntersectionLattice,
+                               IntersectionPoint, integer, records)
 from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
                              validate_pairs)
 
@@ -169,10 +169,6 @@ class CyclicRelation:
     def k(self):
         return len(self.words)
 
-    def rotation_products(self):
-        """The k equal products, one per split point, freely reduced."""
-        return rotation_products(self.words)
-
     def __str__(self):
         return "[ " + " ; ".join(format_word(w) for w in self.words) + " ]"
 
@@ -235,12 +231,15 @@ def presentation(pl: PairList) -> Presentation:
 class Sweep:
     """What the sweep derives from one arrangement: the arrangement sheared
     to generic position, the shear, its lattice, its Lefschetz pairs and
-    (computed on first use) its van Kampen presentation."""
+    (computed on first use) its van Kampen presentation.  Lines are
+    numbered by wire, so line j of ``generic`` and ``lattice`` is
+    generator x_j; ``lines[j-1]`` is its line in the input."""
 
     generic: Arrangement
     transform: Transform
     lattice: IntersectionLattice
     pairs: PairList
+    lines: tuple
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -249,10 +248,20 @@ class Sweep:
 
 def sweep(arr: Arrangement) -> Sweep:
     """Shear an arrangement to generic position and sweep it.  The lattice
-    is computed once, on the input, and carried along by the shear."""
-    generic, transform, lattice = _genericize(arr)
-    lattice = transform.apply_lattice(lattice)
-    return Sweep(generic, transform, lattice, _sweep_pairs(generic, lattice))
+    is computed once, on the input, carried along by the shear and
+    renumbered by wire (ascending slope of the sheared lines)."""
+    sheared, transform, lattice = _genericize(arr)
+    lines = tuple(sorted(range(1, len(arr) + 1),
+                         key=lambda i: sheared.lines[i - 1].slope))
+    wire = {line: w for w, line in enumerate(lines, 1)}
+    points = tuple(IntersectionPoint(pt.x, pt.y, tuple(sorted(
+        wire[i] for i in pt.incident)), pt.multiplicity)
+        for pt in lattice.points)
+    lattice = transform.apply_lattice(
+        IntersectionLattice(points, lattice.n, lattice.p))
+    generic = Arrangement(tuple(sheared.lines[i - 1] for i in lines))
+    return Sweep(generic, transform, lattice, _sweep_pairs(generic, lattice),
+                 lines)
 
 
 def projectivize(p: Presentation) -> Presentation:
@@ -271,8 +280,7 @@ def projectivize(p: Presentation) -> Presentation:
     for rel in p.relations:
         words = tuple(substitute(images, w) for w in rel.words)
         new = CyclicRelation.make(words, n - 1)
-        products = new.rotation_products()
-        if len(set(products)) == 1:
+        if len(set(rotation_products(new.words))) == 1:
             continue  # trivially satisfied after elimination
         rels.append(new)
     return Presentation(n - 1, tuple(rels), "projective")

@@ -16,7 +16,7 @@ from math import comb
 
 from arrgroup.geometry import (Arrangement, IntersectionLattice,
                                IntersectionPoint, Line, compute_lattice,
-                               integer, records)
+                               integer, parallel_pairs, records)
 
 
 class WiringError(ValueError):
@@ -29,9 +29,6 @@ class WiringError(ValueError):
 class PairList:
     ell: int
     pairs: tuple  # ((a, b), ...) in sweep order, rightmost point first
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,12 @@ def _generic_shear(arr: Arrangement, lat: IntersectionLattice) -> Transform:
 
 def _genericize(arr: Arrangement):
     """genericize, plus the lattice of the input arrangement."""
-    for (i, l1) in enumerate(arr.lines):
-        for l2 in arr.lines[i + 1:]:
-            if l1.a * l2.b - l2.a * l1.b == 0:
-                raise WiringError(
-                    "parallel-lines", f"parallel lines present: {l1} and {l2}"
-                )
     lat = compute_lattice(arr)
+    parallel = parallel_pairs(lat)
+    if parallel:
+        i, j = parallel[0]
+        raise WiringError("parallel-lines", "parallel lines present: "
+                          f"{arr.lines[i - 1]} and {arr.lines[j - 1]}")
     tf = _generic_shear(arr, lat)
     if tf.is_identity:
         return arr, tf, lat
@@ -109,8 +105,7 @@ def genericize(arr: Arrangement):
 
     Returns (generic arrangement, Transform).
     """
-    generic, tf, _ = _genericize(arr)
-    return generic, tf
+    return _genericize(arr)[:2]
 
 
 def lefschetz_pairs(arr: Arrangement) -> PairList:

@@ -4,30 +4,26 @@ from __future__ import annotations
 
 import functools
 import time
-from importlib import resources
 
 import pytest
 from hypothesis import settings
 
-from arrgroup import Arrangement, Sweep, parse_arrangement, sweep
+from arrgroup import (Arrangement, Sweep, fixture_path, parse_arrangement,
+                      sweep)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 SESSION_T0 = time.perf_counter()
 
-FIXTURE_NAMES = (
-    "pencil",
-    "nearpencil",
-    "triangle",
-    "triangle_plus_line",
-    "cycle5",
-    "ceva",
-)
-
 
 def fixture_text(name: str) -> str:
-    return resources.files("arrgroup").joinpath(f"fixtures/{name}.lines").read_text()
+    return fixture_path(name).read_text()
+
+
+def fixture_file(name: str) -> str:
+    """The fixture's file name, as the command line takes it."""
+    return str(fixture_path(name))
 
 
 def fixture_arrangement(name: str) -> Arrangement:

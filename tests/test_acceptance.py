@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from arrgroup import (
+    FIXTURES,
     Arrangement,
     Line,
     artin_apply,
@@ -37,7 +38,7 @@ from arrgroup import (
     canonical_form,
 )
 from arrgroup.cli import main as cli_main
-from conftest import FIXTURE_NAMES, SESSION_T0, fixture_arrangement, pipeline
+from conftest import SESSION_T0, fixture_arrangement, fixture_file, pipeline
 from test_vankampen import TRIANGLE_RELATIONS, cycle5_relation_families
 
 CALIBRATION_PAIRS = (
@@ -103,7 +104,7 @@ def test_ceva_never_certifies_under_any_ordering(tmp_path):
         assert verdict.orderings_tried == 720
         assert verdict.evidence
         rc = cli_main(
-            ["verdict", "--input", _ceva_path(), "--ordering", "all",
+            ["verdict", "--input", fixture_file("ceva"), "--ordering", "all",
              "--output", str(tmp_path / "verdict.txt")]
         )
         assert rc == 2
@@ -113,12 +114,6 @@ def test_ceva_never_certifies_under_any_ordering(tmp_path):
             (tmp_path / "verdict.txt").read_bytes()).hexdigest()
         assert digest == ("679328f59f722a4dcee1f8feb472f154"
                           "6861195ffad4829dd3c061865bdeb810")
-
-
-def _ceva_path():
-    from importlib import resources
-
-    return str(resources.files("arrgroup").joinpath("fixtures/ceva.lines"))
 
 
 def test_semidirect_variant_matches_the_swept_triangle():
@@ -214,7 +209,7 @@ def test_boundary_product_preserved():
 
 def test_abelianization_free_of_full_rank_for_every_fixture():
     with deadline(30.0, "abelianization of every fixture"):
-        for name in FIXTURE_NAMES:
+        for name in FIXTURES:
             pres = pipeline(name).presentation
             inv = abelianization(pres)
             assert inv.rank == pres.ngens

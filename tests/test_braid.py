@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from arrgroup import (
     artin_apply,
     braid_inverse,
-    format_braid,
     format_word,
     free_reduce,
     halftwist,
@@ -133,6 +132,3 @@ def test_parse_word_takes_only_decimal_digits_after_the_letter(token):
     with pytest.raises(ValueError, match="cannot parse word token"):
         parse_word(token)
 
-
-def test_braid_format_is_stable():
-    assert format_braid((1, -2, 3)) == "s1 s2^-1 s3"

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line interface, in process."""
 
+from decimal import Decimal
+
 import pytest
 
 from arrgroup import (
@@ -11,17 +13,11 @@ from arrgroup import (
     parse_presentation_json,
 )
 from arrgroup.cli import main
-from conftest import fixture_text, pipeline
-
-
-def fixture_path(name):
-    from importlib import resources
-
-    return str(resources.files("arrgroup").joinpath(f"fixtures/{name}.lines"))
+from conftest import fixture_file, fixture_text, pipeline
 
 
 def tri_path():
-    return fixture_path("triangle")
+    return fixture_file("triangle")
 
 
 def test_fixture_listing_and_emission(capsys):
@@ -134,8 +130,37 @@ def test_readme_recipe_replays_on_a_sheared_input(tmp_path, capsys):
     assert "certificate ok" in capsys.readouterr().out
 
 
+def test_candidate_ordering_prints_the_certificate_target(tmp_path, capsys):
+    ordering = "1 3 2 4 5 6"
+    pres, cand, cert = (str(tmp_path / name) for name in
+                        ("triangle.pres", "cand.pres", "triangle.cert"))
+    assert main(["verdict", "--input", tri_path(), "--ordering", ordering,
+                 "--certificate", cert]) == 0
+    assert main(["present", "--input", tri_path(), "--output", pres]) == 0
+    assert main(["candidate", "--input", tri_path(), "--ordering", ordering,
+                 "--output", cand]) == 0
+    capsys.readouterr()
+    assert main(["replay", "--input", cert, "--source", pres,
+                 "--target", cand]) == 0
+    assert "certificate ok" in capsys.readouterr().out
+
+
+def test_pairs_names_the_input_line_of_each_wire(tmp_path, capsys):
+    # the triangle's lines listed in reverse: wire w carries line 7 - w
+    arr = tmp_path / "reversed.lines"
+    arr.write_text("".join(reversed(fixture_text("triangle").splitlines(
+        keepends=True))))
+    assert main(["pairs", "--input", str(arr)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# input line of each wire: 6 5 4 3 2 1\n")
+    assert main(["pairs", "--input", tri_path()]) == 0
+    triangle = capsys.readouterr().out
+    assert not triangle.startswith("#")
+    assert parse_pairs(out) == parse_pairs(triangle)
+
+
 def test_verdict_unknown_exits_two(capsys):
-    rc = main(["verdict", "--input", fixture_path("ceva")])
+    rc = main(["verdict", "--input", fixture_file("ceva")])
     assert rc == 2
     out = capsys.readouterr().out
     assert "Unknown" in out
@@ -187,7 +212,7 @@ def test_homcount_abort_exits_two(tmp_path, capsys):
 
 
 def test_fan_reports_structure_or_fails_honestly(capsys):
-    assert main(["fan", "--input", fixture_path("nearpencil")]) == 0
+    assert main(["fan", "--input", fixture_file("nearpencil")]) == 0
     assert "Z^1 (+) F_2" in capsys.readouterr().out
     rc = main(["fan", "--input", tri_path()])
     assert rc == 1
@@ -195,10 +220,10 @@ def test_fan_reports_structure_or_fails_honestly(capsys):
 
 
 def test_split_report(capsys):
-    assert main(["split", "--input", fixture_path("triangle_plus_line")]) == 0
+    assert main(["split", "--input", fixture_file("triangle_plus_line")]) == 0
     out = capsys.readouterr().out
     assert "parts=2" in out and "part 2: 7" in out
-    assert main(["split", "--input", fixture_path("ceva")]) == 0
+    assert main(["split", "--input", fixture_file("ceva")]) == 0
     assert "no transversal splitting applies" in capsys.readouterr().out
 
 
@@ -277,6 +302,17 @@ def test_homcount_zero_node_budget_aborts(tmp_path, capsys):
                "--budget-nodes", "0"])
     assert rc == 2
     assert "aborted after" in capsys.readouterr().out
+
+
+def test_homcount_prints_counts_of_any_length(tmp_path, capsys):
+    # 6^6000 has 4,669 digits, past the 4,300 that str() of an int allows
+    pres = tmp_path / "free.pres"
+    pres.write_text("gens=6000\n")
+    assert main(["homcount", "--input", str(pres), "--group", "S3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("count=") and out.endswith(" nodes=0\n")
+    digits = out[len("count="):-len(" nodes=0\n")]
+    assert len(digits) == 4669 and Decimal(digits) == 6 ** 6000
 
 
 @pytest.mark.parametrize("name, text", [

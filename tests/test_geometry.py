@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arrgroup import (
+    FIXTURES,
     Arrangement,
     ArrangementError,
     Line,
@@ -15,8 +16,8 @@ from arrgroup import (
     multiple_point_graph,
     parse_arrangement,
 )
-from arrgroup.geometry import integer, records
-from conftest import FIXTURE_NAMES, fixture_arrangement, pipeline
+from arrgroup.geometry import components, integer, parallel_pairs, records
+from conftest import fixture_arrangement, pipeline
 
 
 def test_records_drop_comments_blanks_and_empty_lines():
@@ -86,6 +87,35 @@ def test_lattice_parallel_lines_share_no_point():
     lat = compute_lattice(arr)
     assert len(lat.points) == 2
     assert all(pt.multiplicity == 2 for pt in lat.points)
+
+
+def test_parallel_pairs_are_the_pairs_with_zero_determinant():
+    arr = parse_arrangement("1 1 0\n0 1 0\n2 2 5\n0 1 3\n1 1 7\n1 -1 0")
+    lat = compute_lattice(arr)
+    assert parallel_pairs(lat) == [
+        (i, j) for (i, l1), (j, l2) in combinations(enumerate(arr.lines, 1), 2)
+        if l1.a * l2.b == l2.a * l1.b]
+    assert parallel_pairs(lat) == [(1, 3), (1, 5), (2, 4), (3, 5)]
+    assert parallel_pairs(compute_lattice(fixture_arrangement("ceva"))) == []
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=10))))
+def test_components_match_a_breadth_first_search(graph):
+    n, edges = graph
+    adjacent = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    expected = set()
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            frontier = [w for v in frontier for w in adjacent[v]
+                        if w not in seen and not seen.add(w)]
+        expected.add(tuple(sorted(seen)))
+    assert components(range(n), edges) == sorted(expected)
 
 
 def test_lattice_empty_arrangement_rejected():

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from arrgroup.cli import main
-from test_cli import fixture_path
+from conftest import fixture_file
 
 COMMANDS = {
     "present": ["present"],
@@ -62,7 +62,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name, command", sorted(DIGESTS))
 def test_output_matches_recorded_digest(name, command, capsys):
-    assert main(COMMANDS[command] + ["--input", fixture_path(name)]) == 0
+    assert main(COMMANDS[command] + ["--input", fixture_file(name)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name, command]
 
@@ -73,7 +73,7 @@ CEVA_PROVE_STDERR = (
 
 def test_ceva_prove_reason_matches_recorded_digest(tmp_path, capsys):
     pres, cand = str(tmp_path / "ceva.pres"), str(tmp_path / "ceva.cand")
-    ceva = fixture_path("ceva")
+    ceva = fixture_file("ceva")
     assert main(["present", "--input", ceva, "--output", pres]) == 0
     assert main(["candidate", "--input", ceva, "--output", cand]) == 0
     assert main(["prove", "--input", pres, "--target", cand]) == 2
@@ -126,7 +126,7 @@ def test_verdict_matches_recorded_digest(case, tmp_path, capsys):
         path.write_text(source())
         source = str(path)
     else:
-        source = fixture_path(source)
+        source = fixture_file(source)
     assert main(["verdict", "--input", source] + flags) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

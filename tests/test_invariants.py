@@ -1,23 +1,31 @@
 """Abelianization, finite group tables and homomorphism counting."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrgroup import (
+    FIXTURES,
     CyclicRelation,
     FiniteGroupTable,
     GroupTableError,
+    Arrangement,
+    Line,
     Presentation,
     abelianization,
     builtin_group,
+    compute_lattice,
     format_group_table,
     hom_count,
     hom_count_scalar,
     parse_group_table,
     smith_diagonal,
+    sweep,
 )
-from conftest import FIXTURE_NAMES, pipeline
+from conftest import pipeline
 
 
 def test_smith_diagonal_known_matrices():
@@ -44,7 +52,7 @@ def test_smith_diagonal_divisibility_chain(rows):
         assert b % a == 0
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_abelianizations_are_free_of_full_rank(name):
     pres = pipeline(name).presentation
     inv = abelianization(pres)
@@ -155,3 +163,73 @@ def test_hom_count_vectorized_equals_scalar(brackets):
     pres = Presentation(3, rels)
     s3 = builtin_group("S3")
     assert hom_count(pres, s3).count == hom_count_scalar(pres, s3).count
+
+
+# closed forms: a generic arrangement's group is Z^n (Hattori 1975), and an
+# affine pencil's is Z x F_{n-1}, so their hom-counts follow from the table
+
+
+def commutes(table, g, h):
+    return table.table[g][h] == table.table[h][g]
+
+
+def commuting_tuples(table, n, pool=None):
+    """The n-tuples of pairwise commuting elements, one entry at a time."""
+    pool = range(table.order) if pool is None else pool
+    if n == 0:
+        return 1
+    return sum(commuting_tuples(table, n - 1,
+                                [h for h in pool if commutes(table, g, h)])
+               for g in pool)
+
+
+def rational(rng):
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+
+
+def seeded_generic(rng, n):
+    """n lines y = m x + b, redrawn until every pair meets in its own
+    point."""
+    while True:
+        arr = Arrangement(tuple(Line.make(-rational(rng), 1, rational(rng))
+                                for _ in range(n)))
+        if (len(set(arr.lines)) == n and
+                len(compute_lattice(arr).points) == n * (n - 1) // 2):
+            return arr
+
+
+def seeded_pencil(rng, n):
+    """n lines of distinct slopes through one rational point."""
+    x, y = rational(rng), rational(rng)
+    slopes = set()
+    while len(slopes) < n:
+        slopes.add(rational(rng))
+    return Arrangement(tuple(Line.make(-m, 1, y - m * x)
+                             for m in sorted(slopes)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("group", ["S3", "D4"])
+def test_generic_arrangements_count_commuting_tuples(seed, group):
+    rng = random.Random(seed)
+    table = builtin_group(group)
+    for n in (3, 4, 5):
+        pres = sweep(seeded_generic(rng, n)).presentation
+        assert hom_count(pres, table).count == commuting_tuples(table, n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("group", ["S3", "D4"])
+def test_pencils_count_centralizer_powers(seed, group):
+    rng = random.Random(seed)
+    table = builtin_group(group)
+    centralizers = [sum(commutes(table, z, h) for h in range(table.order))
+                    for z in range(table.order)]
+    if group == "S3":
+        assert sum(c ** 2 for c in centralizers) == 66  # n = 3
+    for n in (3, 4, 5):
+        arr = seeded_pencil(rng, n)
+        assert len(compute_lattice(arr).points) == 1
+        pres = sweep(arr).presentation
+        assert hom_count(pres, table).count == sum(
+            c ** (n - 1) for c in centralizers)

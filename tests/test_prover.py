@@ -1,27 +1,35 @@
 """Equivalence prover, certificate replay and the conjugation-free verdict."""
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from arrgroup import (
+    Arrangement,
     Budget,
+    Certificate,
     CyclicRelation,
+    Line,
     Presentation,
     ProverError,
     ReplayError,
+    builtin_group,
     candidate_cf,
     cf_verdict,
     format_certificate,
     format_verdict,
+    hom_count,
     parse_certificate,
     prove_equivalent,
     replay,
+    sweep,
 )
 from arrgroup.prover import _reduce_trace, _sites
-from conftest import pipeline
+from conftest import fixture_arrangement, pipeline
 
 
 def two_gen_target():
@@ -107,6 +115,26 @@ def test_replay_rejects_tampered_certificates():
     with pytest.raises(ReplayError):
         replay(target, source, cert)
 
+    def rejects(code, cert, source=source, target=target):
+        with pytest.raises(ReplayError) as err:
+            replay(source, target, cert)
+        assert err.value.code == code
+
+    rejects("rels-mismatch", replace(cert, nrels=3))
+    rejects("unknown-step", replace(cert, forward=(("bogus", 0),)))
+    rejects("bad-position",
+            replace(cert, forward=(("expand", 0, 0, 99, 1),) + cert.forward))
+    rejects("self-justified",
+            replace(cert, forward=(("swap", 0, 0, 0, 0, 0, 1, 0),)))
+    rejects("backward-mismatch",
+            replace(cert, backward=cert.backward + (("rot", 0, 1),)))
+    # a comm step must cite a 2-bracket; relation 0 has three entries
+    triple = Presentation(3, (CyclicRelation.make(((1,), (2,), (3,)), 3),
+                              CyclicRelation.make(((1,), (2,)), 3)))
+    comm = Certificate(3, 2, ((0, 0), (1, 1)),
+                       (("comm", 1, 0, 0, 0, 0, 1, 1, 1),), ())
+    rejects("not-a-pair", comm, triple, triple)
+
 
 def test_replay_connects_the_stated_pair_only():
     tri = pipeline("triangle").presentation
@@ -164,6 +192,42 @@ def test_verdict_ceva_identity_is_unknown():
     assert verdict.certificate is None
     assert verdict.reason
     assert "Unknown" in format_verdict(verdict)
+
+
+def affine_image(arr, matrix, shift):
+    """The arrangement's image under p -> M p + shift: the line n.p = c
+    goes to (n M^-1).q = c + (n M^-1).shift."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in matrix)
+    det = a * d - b * c
+    lines = []
+    for line in arr.lines:
+        na = (line.a * d - line.b * c) / det
+        nb = (line.b * a - line.a * b) / det
+        lines.append(Line.make(na, nb, line.c + na * shift[0] + nb * shift[1]))
+    return Arrangement(tuple(lines))
+
+
+IMAGES = {
+    "reversed": lambda arr: Arrangement(arr.lines[::-1]),
+    "shuffled": lambda arr: Arrangement(
+        tuple(random.Random(8).sample(arr.lines, len(arr)))),
+    "mirrored": lambda arr: affine_image(arr, ((-1, 0), (0, 1)), (0, 0)),
+    "affine": lambda arr: affine_image(arr, ((1, 2), (-1, 1)), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("image", IMAGES)
+@pytest.mark.parametrize("name", ["triangle", "cycle5"])
+def test_verdict_certifies_any_line_order_and_affine_image(name, image):
+    # the sweep numbers lines by wire, whatever order the file lists them in
+    swept = sweep(IMAGES[image](fixture_arrangement(name)))
+    verdict = cf_verdict(swept.lattice, swept.presentation)
+    assert verdict.status == "Certified"
+    replay(swept.presentation, verdict.candidate_line_labels,
+           verdict.certificate)
+    s3 = builtin_group("S3")
+    assert (hom_count(swept.presentation, s3).count
+            == hom_count(pipeline(name).presentation, s3).count)
 
 
 def test_verdict_checks_line_counts():

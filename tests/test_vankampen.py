@@ -8,10 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arrgroup import (
+    FIXTURES,
+    Arrangement,
     CyclicRelation,
     Presentation,
     candidate_cf,
     canonical_form,
+    compute_lattice,
     format_presentation,
     format_presentation_json,
     free_reduce,
@@ -27,9 +30,10 @@ from arrgroup import (
     word_inverse,
     word_mul,
 )
-from arrgroup.vankampen import conjugate_all, conjugate_letter, greedy_shorten
+from arrgroup.vankampen import (conjugate_all, conjugate_letter,
+                                greedy_shorten, rotation_products)
 from arrgroup.wiring import PairList
-from conftest import FIXTURE_NAMES, pipeline
+from conftest import fixture_arrangement, pipeline
 from test_golden import WIDE_PAIRS, _through
 
 
@@ -124,7 +128,7 @@ def test_cyclic_relation_canonical_under_rotation_and_conjugation():
 
 def test_rotation_products_slide_the_cyclic_product():
     rel = CyclicRelation.make(((1,), (2,), (3,)), 3)
-    assert set(rel.rotation_products()) == {(3, 2, 1), (1, 3, 2), (2, 1, 3)}
+    assert set(rotation_products(rel.words)) == {(3, 2, 1), (1, 3, 2), (2, 1, 3)}
 
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
@@ -219,7 +223,7 @@ HAND_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_presentation_matches_per_point_reference_on_fixtures(name):
     pipe = pipeline(name)
     assert pipe.presentation.relations == reference_relations(pipe.pairs)
@@ -236,6 +240,26 @@ def test_presentation_matches_per_point_reference_on_seeded(family, n, seed):
 def test_presentation_matches_per_point_reference_on_wide_pairs(name):
     pl = HAND_PAIRS[name]
     assert presentation(pl).relations == reference_relations(pl)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("needs-a-shear",))
+def test_sweep_numbers_the_lines_by_wire(name):
+    arr = (parse_arrangement("2 1 1\n1 1 0\n-2 1 1\n-1 1 0")
+           if name == "needs-a-shear" else fixture_arrangement(name))
+    shuffled = Arrangement(tuple(random.Random(3).sample(arr.lines, len(arr))))
+    for source in (arr, shuffled):
+        swept = sweep(source)
+        assert sorted(swept.lines) == list(range(1, len(arr) + 1))
+        assert swept.generic.lines == tuple(
+            swept.transform.apply_line(source.lines[i - 1])
+            for i in swept.lines)
+        slopes = [line.slope for line in swept.generic]
+        assert slopes == sorted(slopes)
+        # line j of the lattice is wire j, generator x_j
+        assert swept.lattice == compute_lattice(swept.generic)
+    assert sweep(arr).pairs == swept.pairs
+    if name in FIXTURES:  # every fixture lists its lines in wire order
+        assert sweep(arr).lines == tuple(range(1, len(arr) + 1))
 
 
 def test_candidate_is_conjugation_free():

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arrgroup import (
+    FIXTURES,
     Line,
     Arrangement,
     WiringError,
@@ -19,10 +20,10 @@ from arrgroup import (
     wiring_svg,
 )
 from arrgroup.wiring import PairList
-from conftest import FIXTURE_NAMES, fixture_arrangement, pipeline
+from conftest import fixture_arrangement, pipeline
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_genericize_postconditions(name):
     arr = fixture_arrangement(name)
     generic, transform = genericize(arr)
@@ -43,6 +44,11 @@ def test_genericize_rejects_parallel_lines():
     with pytest.raises(WiringError) as err:
         genericize(arr)
     assert err.value.code == "parallel-lines"
+    # the message names the first parallel pair in file order
+    arr = parse_arrangement("0 1 0\n1 2 0\n1 0 1\n0 1 4\n2 4 1")
+    with pytest.raises(WiringError, match=r"^parallel lines present: "
+                       r"0\*x \+ 1\*y = 0 and 0\*x \+ 1\*y = 4$"):
+        genericize(arr)
 
 
 # arrangements that genericize must shear
@@ -55,7 +61,7 @@ SHEARED = (
 def test_shear_carries_lattice_points_onto_sheared_lattice():
     sheared = [parse_arrangement(text) for text in SHEARED]
     assert not any(genericize(arr)[1].is_identity for arr in sheared)
-    for arr in [fixture_arrangement(name) for name in FIXTURE_NAMES] + sheared:
+    for arr in [fixture_arrangement(name) for name in FIXTURES] + sheared:
         generic, transform = genericize(arr)
         before = compute_lattice(arr)
         after = compute_lattice(generic)
@@ -80,7 +86,7 @@ def test_lefschetz_pairs_rejects_non_generic_input():
         lefschetz_pairs(parse_arrangement("0 1 0\n0 1 1\n1 0 0"))
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_pairs_cover_every_wire_pair(name):
     pl = pipeline(name).pairs
     validate_pairs(pl)
@@ -96,7 +102,7 @@ def test_validate_pairs_rejects_bad_lists():
     validate_pairs(PairList(3, ((1, 2),)), complete=False)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURES)
 def test_sweep_reverses_the_wire_order(name):
     pl = pipeline(name).pairs
     snapshots = simulate_sweep(pl)
