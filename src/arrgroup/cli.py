@@ -17,7 +17,8 @@ from arrgroup.geometry import (FIXTURES, compute_lattice, fixture_path,
                                records)
 from arrgroup.grouptheory import (fan_structure, oka_sakamoto_split,
                                   semidirect_fixture)
-from arrgroup.invariants import builtin_group, hom_count, parse_group_table
+from arrgroup.invariants import (BUILTIN_GROUPS, builtin_group, hom_count,
+                                 parse_group_table)
 from arrgroup.prover import (Budget, ProverError, cf_verdict,
                              format_certificate, format_verdict,
                              parse_certificate, prove_equivalent, replay)
@@ -27,8 +28,6 @@ from arrgroup.vankampen import (candidate_cf, format_presentation,
                                 projectivize, relabel_presentation, sweep)
 from arrgroup.wiring import (format_pairs, parse_pairs, validate_pairs,
                              wiring_svg)
-
-_BUILTIN_GROUPS = ("S3", "S4", "A4", "D4", "A5")
 
 _PRESENTATION_FIXTURES = ("semidirect-ceva", "semidirect-triangle")
 
@@ -74,7 +73,7 @@ def _load_presentation(path: str):
 
 
 def _load_group(name_or_path: str):
-    if name_or_path.upper() in _BUILTIN_GROUPS:
+    if name_or_path.upper() in BUILTIN_GROUPS:
         return builtin_group(name_or_path)
     return parse_group_table(_read(name_or_path))
 
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "finite group")
     _add_io(s, output=False)
     s.add_argument("--group", "-g", default="S3",
-                   help="S3|S4|A4|D4|A5 or a group-table file")
+                   help="|".join(BUILTIN_GROUPS) + " or a group-table file")
     s.add_argument("--budget-nodes", type=_count, default=Budget.hom_nodes)
     s.set_defaults(func=_cmd_homcount)
 

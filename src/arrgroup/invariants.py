@@ -9,6 +9,7 @@ out) and as a consistency check on certificates that were found.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from math import gcd
 
 import numpy as np
@@ -188,22 +189,30 @@ def _perm_group(generators, degree):
     return FiniteGroupTable.make(rows, names)
 
 
+# generators of the built-in permutation groups, as tuples of images
+_BUILTIN_GENERATORS = {
+    "S3": [(1, 0, 2), (0, 2, 1)],
+    "S4": [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)],
+    "A4": [(1, 2, 0, 3), (0, 2, 3, 1)],
+    "D4": [(1, 2, 3, 0), (3, 2, 1, 0)],
+    "A5": [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (2, 0, 1, 3, 4)],
+}
+BUILTIN_GROUPS = tuple(_BUILTIN_GENERATORS)
+
+
 def builtin_group(name: str) -> FiniteGroupTable:
     """Symmetric, alternating and dihedral tables used for counting:
-    S3, S4, A4, D4, A5."""
+    S3, S4, A4, D4, A5 (any case).  Each is built and validated once."""
     name = name.upper()
-    if name == "S3":
-        return _perm_group([(1, 0, 2), (0, 2, 1)], 3)
-    if name == "S4":
-        return _perm_group([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 4)
-    if name == "A4":
-        return _perm_group([(1, 2, 0, 3), (0, 2, 3, 1)], 4)
-    if name == "D4":
-        return _perm_group([(1, 2, 3, 0), (3, 2, 1, 0)], 4)
-    if name == "A5":
-        return _perm_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2),
-                            (2, 0, 1, 3, 4)], 5)
-    raise GroupTableError(f"no builtin group named {name!r}")
+    if name not in _BUILTIN_GENERATORS:
+        raise GroupTableError(f"no builtin group named {name!r}")
+    return _builtin_table(name)
+
+
+@cache
+def _builtin_table(name):
+    gens = _BUILTIN_GENERATORS[name]
+    return _perm_group(gens, len(gens[0]))
 
 
 def format_group_table(g: FiniteGroupTable) -> str:
@@ -234,11 +243,16 @@ def parse_group_table(text: str) -> FiniteGroupTable:
 # homomorphism counting
 # ---------------------------------------------------------------------------
 
+# default cap on the unreduced search tree of hom_count (Budget.hom_nodes)
+HOM_NODES = 100_000_000
+
+
 @dataclass(frozen=True)
 class HomCount:
     count: int | None  # None when aborted
     outcome: str  # "exact" | "aborted"
-    nodes: int
+    nodes: int  # candidate assignments in the unreduced search tree
+    cells: int  # (row, image) grid cells evaluated
 
 
 class _Abort(Exception):
@@ -324,8 +338,57 @@ def _brackets_by_layer(p: Presentation, order):
     return layers
 
 
+@dataclass(frozen=True)
+class OrbitTable:
+    """A group's conjugation action restricted to the subgroups met as
+    centralizers of tuples, as arrays indexed [stab, g].  Stabilizer 0 is
+    the whole group, and stabilizer s is the subgroup subgroups[s]:
+
+    - is_rep[s, g]: g is the least element of its orbit under conjugation
+      by subgroups[s];
+    - orbit_size[s, g]: the size of that orbit;
+    - next_stab[s, g]: the id of subgroups[s] & C(g)."""
+
+    subgroups: tuple  # of frozensets of elements
+    is_rep: np.ndarray
+    orbit_size: np.ndarray
+    next_stab: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def orbit_table(table: FiniteGroupTable) -> OrbitTable:
+    """The table's OrbitTable, subgroups numbered as first met from the
+    whole group; built once per table."""
+    order = table.order
+    tab = np.array(table.table)
+    inv = np.array(table.inverse)
+    conj = tab[tab, inv[:, None]]  # conj[h, g] = h g h^-1
+    commute = tab == tab.T  # row g is the centralizer C(g)
+    elements = np.arange(order)
+    masks = [np.ones(order, dtype=bool)]
+    ids = {masks[0].tobytes(): 0}
+    is_rep, orbit_size, next_stab = [], [], []
+    for mask in masks:  # grows while it is walked
+        members = np.flatnonzero(mask)
+        is_rep.append(conj[members].min(axis=0) == elements)
+        orbit_size.append(len(members) // commute[:, members].sum(axis=1))
+        nxt = np.empty(order, dtype=np.int32)
+        for g in range(order):
+            meet = mask & commute[g]
+            key = meet.tobytes()
+            if key not in ids:
+                ids[key] = len(masks)
+                masks.append(meet)
+            nxt[g] = ids[key]
+        next_stab.append(nxt)
+    return OrbitTable(tuple(frozenset(np.flatnonzero(m).tolist())
+                            for m in masks),
+                      np.array(is_rep), np.array(orbit_size, dtype=np.int64),
+                      np.array(next_stab))
+
+
 def hom_count(p: Presentation, table: FiniteGroupTable,
-              node_cap: int = 100_000_000) -> HomCount:
+              node_cap: int = HOM_NODES) -> HomCount:
     """Count homomorphisms from the presented group into the table group.
 
     Layered backtracking over generator images, vectorized: rows are
@@ -334,17 +397,32 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     (rows, order) grid at once.  A bracket [w1..wk] holds iff the prefix
     product v(wm..w1) commutes with the suffix product v(wk..w_{m+1}) for
     every split point m, which evaluates every equality from one pass over
-    the entries.  Aborts (honestly) when more than node_cap candidate
-    assignments would be generated."""
+    the entries.
+
+    Conjugating every image by one element maps homomorphisms to
+    homomorphisms, so rows are kept up to conjugation.  A row carries the
+    id of the centralizer H of its images (orbit_table) and a weight, the
+    size of its orbit.  A new image g is kept only if it is the least of
+    its H-orbit; the row's weight is then multiplied by that orbit's size,
+    and H becomes H & C(g).  Each orbit of assignments is kept once, by its
+    one row whose images are each least in turn, and the count sums the
+    weights.
+
+    ``nodes`` is the size of the unreduced search tree, the weight of the
+    rows times the order at each layer, and ``node_cap`` bounds it: the
+    count aborts (honestly) when that tree has more than node_cap
+    candidate assignments.  ``cells`` is the work done: the grid cells
+    evaluated, one per kept row and candidate image."""
     order = table.order
     dtype = np.uint8 if order <= 256 else np.int32
     tab = np.array(table.table, dtype=dtype)
     inv = np.array(table.inverse, dtype=dtype)
+    orbits = orbit_table(table)
     layers = _brackets_by_layer(p, _assignment_order(p))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
     chunk_rows = max(1, (1 << 22) // order)
     gcol = np.arange(order, dtype=dtype)[None, :]
-    state = {"nodes": 0}
+    state = {"nodes": 0, "cells": 0}
 
     def eval_word(word, part, layer):
         # (rows, order) value grid; column `layer` is the broadcast axis
@@ -375,42 +453,50 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
                 prefix = tab[vals[m], prefix]
         return keep
 
-    def expand(assigned, layer):
+    def expand(assigned, stab, weight, layer):
         if layer > last_constrained:
-            return len(assigned) * order ** (p.ngens - layer + 1)
+            return int(weight.sum()) * order ** (p.ngens - layer + 1)
         total = 0
         for lo in range(0, len(assigned), chunk_rows):
             part = assigned[lo:lo + chunk_rows]
-            state["nodes"] += len(part) * order
+            pstab = stab[lo:lo + chunk_rows]
+            pweight = weight[lo:lo + chunk_rows]
+            state["nodes"] += int(pweight.sum()) * order
+            state["cells"] += len(part) * order
             if state["nodes"] > node_cap:
                 raise _Abort
-            keep = np.ones((len(part), order), dtype=bool)
+            keep = orbits.is_rep[pstab]
             for entries in layers[layer]:
                 if not keep.any():
                     break
                 keep &= bracket_keep(entries, part, layer)
-            if layer == last_constrained:
-                total += int(keep.sum()) * order ** (p.ngens - layer)
-                continue
             ri, gi = np.nonzero(keep)
+            rstab = pstab[ri]
+            nweight = pweight[ri] * orbits.orbit_size[rstab, gi]
+            if layer == last_constrained:
+                total += int(nweight.sum()) * order ** (p.ngens - layer)
+                continue
             nxt = np.empty((len(ri), layer), dtype=dtype)
             nxt[:, :layer - 1] = part[ri]
             nxt[:, layer - 1] = gi.astype(dtype)
-            total += expand(nxt, layer + 1)
+            total += expand(nxt, orbits.next_stab[rstab, gi], nweight,
+                            layer + 1)
         return total
 
     seed = np.zeros((1, 0), dtype=dtype)
     try:
-        count = expand(seed, 1)
+        count = expand(seed, np.zeros(1, dtype=np.int32),
+                       np.ones(1, dtype=np.int64), 1)
     except _Abort:
-        return HomCount(None, "aborted", state["nodes"])
-    return HomCount(int(count), "exact", state["nodes"])
+        return HomCount(None, "aborted", state["nodes"], state["cells"])
+    return HomCount(int(count), "exact", state["nodes"], state["cells"])
 
 
 def hom_count_scalar(p: Presentation, table: FiniteGroupTable,
                      node_cap: int = 1_000_000) -> HomCount:
     """Plain backtracking reference for cross-checking the vectorized
-    counter on small inputs."""
+    counter on small inputs: every assignment is tried, none is skipped by
+    conjugation, so ``cells`` equals ``nodes``."""
     order = table.order
     tab = table.table
     inv = table.inverse
@@ -444,5 +530,5 @@ def hom_count_scalar(p: Presentation, table: FiniteGroupTable,
     try:
         count = recurse([], 1)
     except _Abort:
-        return HomCount(None, "aborted", state["nodes"])
-    return HomCount(count, "exact", state["nodes"])
+        return HomCount(None, "aborted", state["nodes"], state["nodes"])
+    return HomCount(count, "exact", state["nodes"], state["nodes"])

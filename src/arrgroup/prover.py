@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.geometry import integer, records
-from arrgroup.invariants import builtin_group, hom_count
+from arrgroup.invariants import HOM_NODES, builtin_group, hom_count
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
@@ -50,14 +50,14 @@ class Budget:
     ``max_word_len`` caps every entry a search move produces;
     ``max_steps`` caps the forward steps of a certificate; ``bfs_nodes``
     caps the per-relation rescue search that runs when the guided phase
-    stalls; ``hom_nodes`` caps the backtracking tree of homomorphism
-    counting.
+    stalls; ``hom_nodes`` caps the unreduced backtracking tree of
+    homomorphism counting (``HomCount.nodes``).
     """
 
     max_word_len: int = 64
     max_steps: int = 20000
     bfs_nodes: int = 20000
-    hom_nodes: int = 100_000_000
+    hom_nodes: int = HOM_NODES
 
     def __post_init__(self):
         for f in fields(self):

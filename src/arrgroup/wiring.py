@@ -84,14 +84,20 @@ def _generic_shear(arr: Arrangement, lat: IntersectionLattice) -> Transform:
             return tf
 
 
-def _genericize(arr: Arrangement):
-    """genericize, plus the lattice of the input arrangement."""
-    lat = compute_lattice(arr)
+def _reject_parallel(arr: Arrangement, lat: IntersectionLattice):
+    """Raise parallel-lines naming the first parallel pair in file order:
+    the monodromy pipeline assumes every pair of lines crosses."""
     parallel = parallel_pairs(lat)
     if parallel:
         i, j = parallel[0]
         raise WiringError("parallel-lines", "parallel lines present: "
                           f"{arr.lines[i - 1]} and {arr.lines[j - 1]}")
+
+
+def _genericize(arr: Arrangement):
+    """genericize, plus the lattice of the input arrangement."""
+    lat = compute_lattice(arr)
+    _reject_parallel(arr, lat)
     tf = _generic_shear(arr, lat)
     if tf.is_identity:
         return arr, tf, lat
@@ -112,16 +118,14 @@ def lefschetz_pairs(arr: Arrangement) -> PairList:
     """Sweep a generic arrangement right-to-left and list the Lefschetz pairs.
 
     Requires genericity (use genericize first): no verticals, no parallels,
-    distinct x-projections of intersection points.
+    distinct x-projections of intersection points.  Parallel lines raise
+    the same parallel-lines error as genericize.
     """
-    ell = len(arr)
+    lat = compute_lattice(arr)
+    _reject_parallel(arr, lat)
     for line in arr:
         if line.is_vertical:
             raise WiringError("not-generic", f"vertical line {line}")
-    slopes = [line.slope for line in arr]
-    if len(set(slopes)) != ell:
-        raise WiringError("not-generic", "parallel lines present")
-    lat = compute_lattice(arr)
     xs = [pt.x for pt in lat.points]
     if len(xs) != len(set(xs)):
         raise WiringError("not-generic", "two intersection points share an x-coordinate")

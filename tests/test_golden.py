@@ -15,7 +15,10 @@ budget it exhausted) were recorded before the prover's search moves were
 gathered into one move tuple and one apply.  The ``present`` digests of a
 24-line k-pencil and of a 12-wire pair list with wide points in the middle
 and at the end were recorded before the sweep carried the meridians' images
-from point to point.
+from point to point.  The ``homcount`` digests of every fixture's
+presentation into S3, D4, A4 and S4 (each prints the count and the size of
+the search tree) were recorded before the counter kept one row per
+conjugation orbit.
 """
 
 import hashlib
@@ -163,3 +166,67 @@ def test_present_matches_recorded_digest(case, tmp_path, capsys):
     assert main(["present", "--input", str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+HOMCOUNT_DIGESTS = {
+    ("pencil", "S3"):
+        "d976953d7ef50eb6f1483d8542ef1e5ce950052b98ee05b8bfd2cf682995d3be",
+    ("pencil", "D4"):
+        "323c5bf488b502816bac59db7fafff489d044ff8007ebd941304a78646b009f8",
+    ("pencil", "A4"):
+        "d2f6960a745caaa552223d7baf55bb1c14bbe9bb2640c9978e7ecb7f07cb1d7f",
+    ("pencil", "S4"):
+        "b87b767793746f4321c97d2f90eb75fa3d296ecf4bd60b567176cdd3ee5b73bc",
+    ("nearpencil", "S3"):
+        "b07c9b5869b4f212a80e8909f7ac936a7a7426e951d4b2528b06f4f4cb59f747",
+    ("nearpencil", "D4"):
+        "8aba524fe211af98bff33d42872c7ce03ef2cb77a752d13d74559031db87d683",
+    ("nearpencil", "A4"):
+        "a109ac5693fa6e233f1a6b6d0814b42b821cdd6c33dcf9304b9a600b4b6f76f5",
+    ("nearpencil", "S4"):
+        "3c16c8fcbbe59671a80bc1d8b8caba4f8cc92be01494056a1ef66b4fd6a0820d",
+    ("triangle", "S3"):
+        "486a3edf4d5e1ff0d6e61fc7fcfe1df2a643a3a79cbcec537653604e465f0cbf",
+    ("triangle", "D4"):
+        "63e053310831907f083529d354d0c94b09aac93c87d122f026de36f25181ff4d",
+    ("triangle", "A4"):
+        "82c325cea0b634e8eefa9c8de5e9acc2955ac661109b95b2e1687e12c6160b19",
+    ("triangle", "S4"):
+        "323cd438a82dafa754ec5806572b2389d35d640b7da0a2e477b4d3fb9351921b",
+    ("triangle_plus_line", "S3"):
+        "9c782fb00d57cd2f1ea0c4c9a21501c93d9ac1d9ba5fbdf254de1fe64d332307",
+    ("triangle_plus_line", "D4"):
+        "c1938305499110fb915d7a7d71facad9d1228c0e1491b69968da17abf0394796",
+    ("triangle_plus_line", "A4"):
+        "12ef22fbd2735a3954634b73260b9db508e99cf7105f521bd7a8eb4ce755002f",
+    ("triangle_plus_line", "S4"):
+        "81c9cfa473078c349665506114f20142e90f9d21552e3f969f952b1567d6c022",
+    ("cycle5", "S3"):
+        "bacc09f053463c4d25c1498a721e2f3f2fa797eca3b2d9ba12c7c2980776af2a",
+    ("cycle5", "D4"):
+        "f3f723d398fc0876423074cdc06344ea4d2ef59cb63a88803df5f7cd302e89f0",
+    ("cycle5", "A4"):
+        "e5d31bab4c781dea170cb2acf7173215ea90b29fbe257b80c27d06fe9391990b",
+    ("cycle5", "S4"):
+        "1e553f8fe68dda71618e7c1afb68085f80270df0aaeddbf460e1226be2be95e4",
+    ("ceva", "S3"):
+        "0cb8a85bca953151ae47de728bf4585be03006f76897c1c0ab573dca40f10cad",
+    ("ceva", "D4"):
+        "1a413f63ec48d9272dc01b665aedd60772f76e359f954808403607f629e3026a",
+    ("ceva", "A4"):
+        "1cacda951be5e6ce1f1f9868c15885c67f67a2f7812ff46d2277d389d72091f2",
+    ("ceva", "S4"):
+        "01a29242362524e8a236b3aa6fe8949fd7073610685a084463b8bcea369296af",
+}
+
+
+@pytest.mark.parametrize("name, group", list(HOMCOUNT_DIGESTS))
+def test_homcount_matches_recorded_digest(name, group, tmp_path, capsys):
+    pres = str(tmp_path / f"{name}.pres")
+    assert main(["present", "--input", fixture_file(name),
+                 "--output", pres]) == 0
+    capsys.readouterr()
+    assert main(["homcount", "--input", pres, "--group", group]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == HOMCOUNT_DIGESTS[name, group])

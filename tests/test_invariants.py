@@ -21,6 +21,7 @@ from arrgroup import (
     format_group_table,
     hom_count,
     hom_count_scalar,
+    orbit_table,
     parse_group_table,
     smith_diagonal,
     sweep,
@@ -72,8 +73,13 @@ def test_builtin_group_orders(name, order):
 
 
 def test_builtin_group_unknown_name():
-    with pytest.raises(GroupTableError):
-        builtin_group("M11")
+    for _ in range(2):
+        with pytest.raises(GroupTableError):
+            builtin_group("M11")
+
+
+def test_builtin_group_is_built_once():
+    assert builtin_group("a5") is builtin_group("A5")
 
 
 def test_group_table_validation():
@@ -148,6 +154,92 @@ def test_hom_count_abort_is_honest():
     assert aborted.nodes >= 10
     slow = hom_count_scalar(tri, s4, node_cap=10)
     assert slow.outcome == "aborted" and slow.count is None
+
+
+def test_hom_count_cap_at_tree_size_is_exact():
+    for name, group in (("triangle", "S4"), ("ceva", "A4"),
+                        ("nearpencil", "D4")):
+        pres = pipeline(name).presentation
+        table = builtin_group(group)
+        full = hom_count(pres, table)
+        assert full.cells < full.nodes
+        assert hom_count(pres, table, full.nodes) == full
+        assert hom_count(pres, table, full.nodes - 1).outcome == "aborted"
+
+
+def test_hom_count_cycle5_s4_evaluates_a_fifth_of_the_tree():
+    r = hom_count(pipeline("cycle5").presentation, builtin_group("S4"))
+    assert (r.count, r.nodes) == (7664160, 63551832)
+    assert r.cells * 5 <= r.nodes
+
+
+def cyclic_table(n):
+    rows = "".join(" ".join(str((i + j) % n) for j in range(n)) + "\n"
+                   for i in range(n))
+    return parse_group_table(f"order={n}\n{rows}")
+
+
+def quaternion_table():
+    """Q8 from the Hamilton product of the units +-1, +-i, +-j, +-k."""
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    units = [tuple(s * (k == i) for k in range(4))
+             for i in range(4) for s in (1, -1)]
+    return FiniteGroupTable.make(
+        tuple(tuple(units.index(mul(p, q)) for q in units) for p in units))
+
+
+# the built-in groups, an abelian parsed table and a non-abelian one
+TABLES = {name: builtin_group(name) for name in ("S3", "D4", "A4", "S4",
+                                                 "A5")}
+TABLES["Z6"] = cyclic_table(6)
+TABLES["Q8"] = quaternion_table()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_orbit_table_describes_the_conjugation_action(name):
+    table = TABLES[name]
+    t, inv, order = table.table, table.inverse, table.order
+    everything = frozenset(range(order))
+    centre = frozenset(z for z in everything
+                       if all(t[z][g] == t[g][z] for g in everything))
+    orbits = orbit_table(table)
+    assert orbits.subgroups[0] == everything
+    for s, sub in enumerate(orbits.subgroups):
+        assert centre <= sub
+        reps = 0
+        for g in range(order):
+            orbit = {t[t[h][g]][inv[h]] for h in sub}
+            assert orbits.is_rep[s, g] == (g == min(orbit))
+            assert orbits.orbit_size[s, g] == len(orbit)
+            reps += orbits.orbit_size[s, g] * bool(orbits.is_rep[s, g])
+            meet = frozenset(h for h in sub if t[h][g] == t[g][h])
+            assert orbits.subgroups[orbits.next_stab[s, g]] == meet
+        assert reps == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_count_up_to_conjugation_equals_scalar(data):
+    name = data.draw(st.sampled_from(sorted(TABLES)))
+    table = TABLES[name]
+    ngens = data.draw(st.integers(1, 3 if table.order <= 24 else 2))
+    letter = st.integers(-ngens, ngens).filter(bool)
+    words = st.lists(st.lists(letter, min_size=1, max_size=3).map(tuple),
+                     min_size=2, max_size=3)
+    rels = tuple(CyclicRelation.make(tuple(w), ngens)
+                 for w in data.draw(st.lists(words, max_size=3)))
+    pres = Presentation(ngens, rels)
+    fast = hom_count(pres, table)
+    slow = hom_count_scalar(pres, table)
+    assert fast.outcome == slow.outcome == "exact"
+    assert fast.count == slow.count
+    assert fast.cells <= fast.nodes
 
 
 entry = st.integers(min_value=-3, max_value=3).filter(lambda c: c != 0)

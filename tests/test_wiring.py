@@ -86,6 +86,18 @@ def test_lefschetz_pairs_rejects_non_generic_input():
         lefschetz_pairs(parse_arrangement("0 1 0\n0 1 1\n1 0 0"))
 
 
+def test_parallel_lines_raise_one_error_from_both_entry_points():
+    arr = parse_arrangement("1 1 0\n1 1 5\n0 1 0")
+    errors = []
+    for entry in (genericize, lefschetz_pairs):
+        with pytest.raises(WiringError) as err:
+            entry(arr)
+        errors.append((err.value.code, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0] == ("parallel-lines", "parallel lines present: "
+                         "1*x + 1*y = 0 and 1*x + 1*y = 5")
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_pairs_cover_every_wire_pair(name):
     pl = pipeline(name).pairs
