@@ -154,9 +154,7 @@ def test_hom_count_abort_is_honest():
     assert aborted.nodes >= 10
     slow = hom_count_scalar(tri, s4, node_cap=10)
     assert slow.outcome == "aborted" and slow.count is None
-
-
-def test_hom_count_cap_at_tree_size_is_exact():
+    # the cap bounds the unreduced tree: a cap of its size is enough
     for name, group in (("triangle", "S4"), ("ceva", "A4"),
                         ("nearpencil", "D4")):
         pres = pipeline(name).presentation
@@ -223,9 +221,11 @@ def test_orbit_table_describes_the_conjugation_action(name):
         assert reps == order
 
 
-@settings(max_examples=60, deadline=None)
+# hom_count keeps one row per conjugation orbit; the scalar reference
+# tries every assignment
+@settings(max_examples=60)
 @given(st.data())
-def test_hom_count_up_to_conjugation_equals_scalar(data):
+def test_hom_count_vectorized_equals_scalar(data):
     name = data.draw(st.sampled_from(sorted(TABLES)))
     table = TABLES[name]
     ngens = data.draw(st.integers(1, 3 if table.order <= 24 else 2))
@@ -240,21 +240,6 @@ def test_hom_count_up_to_conjugation_equals_scalar(data):
     assert fast.outcome == slow.outcome == "exact"
     assert fast.count == slow.count
     assert fast.cells <= fast.nodes
-
-
-entry = st.integers(min_value=-3, max_value=3).filter(lambda c: c != 0)
-bracket = st.lists(
-    st.lists(entry, min_size=1, max_size=2).map(tuple), min_size=2, max_size=3
-)
-
-
-@settings(max_examples=40)
-@given(st.lists(bracket, max_size=2))
-def test_hom_count_vectorized_equals_scalar(brackets):
-    rels = tuple(CyclicRelation.make(tuple(words), 3) for words in brackets)
-    pres = Presentation(3, rels)
-    s3 = builtin_group("S3")
-    assert hom_count(pres, s3).count == hom_count_scalar(pres, s3).count
 
 
 # closed forms: a generic arrangement's group is Z^n (Hattori 1975), and an
