@@ -300,7 +300,8 @@ def _add_budget(sub):
                      default=Budget.max_word_len,
                      help="cap on intermediate word length")
     sub.add_argument("--budget-nodes", type=_count, default=Budget.bfs_nodes,
-                     help="cap on search nodes per stalled relation")
+                     help="cap on search nodes of each stalled relation's "
+                          "rescue search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(s, output=False)
     s.add_argument("--group", "-g", default="S3",
                    help="|".join(BUILTIN_GROUPS) + " or a group-table file")
-    s.add_argument("--budget-nodes", type=_count, default=Budget.hom_nodes)
+    s.add_argument("--budget-nodes", type=_count, default=Budget.hom_nodes,
+                   help="cap on nodes of the unreduced search tree")
     s.set_defaults(func=_cmd_homcount)
 
     s = subs.add_parser("fan", help="direct-sum structure of the "

@@ -166,21 +166,32 @@ def _reduce_trace(letters):
     return tuple(word), trace
 
 
-def _sites(w, licenses):
-    """Every licensed substitution site in the word w, license by license,
-    left to right: (pos, lhs, rhs, tag).  Only the positions holding the
-    first letter of a license's (nonempty) lhs are compared."""
-    at = {}
-    for pos, c in enumerate(w):
-        at.setdefault(c, []).append(pos)
-    n = len(w)
-    for lhs, rhs, tag in licenses:
-        length = len(lhs)
-        for pos in at.get(lhs[0], ()):
-            if pos > n - length:
-                break
-            if w[pos:pos + length] == lhs:
-                yield pos, lhs, rhs, tag
+class _SiteIndex:
+    """Every licensed substitution site in a word, (pos, lhs, rhs, tag),
+    license by license, left to right.  Built once per license list: the
+    licenses are grouped by lhs, so a word is searched by looking up each of
+    its slices of every lhs length, and each word's sites are computed once
+    for the index's lifetime."""
+
+    def __init__(self, licenses):
+        self.by_lhs = {}
+        for i, (lhs, rhs, tag) in enumerate(licenses):
+            self.by_lhs.setdefault(lhs, []).append((i, lhs, rhs, tag))
+        self.lengths = sorted({len(lhs) for lhs in self.by_lhs})
+        self.memo = {}
+
+    def __call__(self, w):
+        sites = self.memo.get(w)
+        if sites is None:
+            get = self.by_lhs.get
+            n = len(w)
+            # (license index, pos) is unique, so the sort never looks past it
+            hits = sorted((i, pos, lhs, rhs, tag)
+                          for length in self.lengths
+                          for pos in range(n - length + 1)
+                          for i, lhs, rhs, tag in get(w[pos:pos + length], ()))
+            sites = self.memo[w] = [hit[1:] for hit in hits]
+        return sites
 
 
 def _rewrite(w, pos, lhs, rhs):
@@ -221,6 +232,7 @@ class _State:
         # (relation index, its words) -> that relation's licenses; lives for
         # one proof, so it never outgrows the states that proof visits
         self.license_memo = {}
+        self.index_key = self.index = None
 
     def total_len(self, r):
         return sum(len(w) for w in self.rels[r])
@@ -274,18 +286,21 @@ class _State:
         self.backward.append([("expand", r, move[1], p, g)
                               for p, g in reversed(trace)] + undo)
 
-    def licenses(self, skip):
-        """The licenses every relation but ``skip`` grants, relation by
-        relation; each relation's list is built once per state it is in."""
-        out = []
-        for s, ws in enumerate(self.rels):
-            if s == skip:
-                continue
-            lic = self.license_memo.get((s, ws))
-            if lic is None:
-                lic = self.license_memo[s, ws] = _relation_licenses(s, ws)
-            out.extend(lic)
-        return out
+    def sites(self, skip):
+        """The site index of the licenses every relation but ``skip``
+        grants, relation by relation.  Each relation's license list is built
+        once per state it is in; only the latest index is kept, keyed by
+        the other relations."""
+        key = tuple((s, ws) for s, ws in enumerate(self.rels) if s != skip)
+        if key != self.index_key:
+            licenses = []
+            for s_ws in key:
+                lic = self.license_memo.get(s_ws)
+                if lic is None:
+                    lic = self.license_memo[s_ws] = _relation_licenses(*s_ws)
+                licenses.extend(lic)
+            self.index_key, self.index = key, _SiteIndex(licenses)
+        return self.index
 
 
 def _pool_rotation(words, pool):
@@ -295,6 +310,13 @@ def _pool_rotation(words, pool):
         if pool.get(words[k:] + words[:k]):
             return k
     return None
+
+
+def _waiting_rotations(pool):
+    """Every rotation of every waiting target: words is one exactly when
+    _pool_rotation(words, pool) is not None."""
+    return {words[k:] + words[:k] for words, waiting in pool.items()
+            if waiting for k in range(len(words))}
 
 
 def _try_claim(state, r, pool, claims):
@@ -315,10 +337,10 @@ def _strip_fixpoint(state, r):
     none does; reports whether any was applied."""
     progressed = False
     while True:
-        licenses = state.licenses(r)
+        sites = state.sites(r)
         move = next((("subst", e) + site
                      for e, w in enumerate(state.rels[r])
-                     for site in _sites(w, licenses)
+                     for site in sites(w)
                      if len(_rewrite(w, *site[:3])[0]) < len(w)), None)
         if move is None:
             return progressed
@@ -331,11 +353,11 @@ def _entry_plateau(state, r):
     substitutions that never lengthen it (equal-length bridge steps allowed,
     as when a product of a plain bracket must be re-split before anything
     cancels).  Applies the found path and reports success."""
-    licenses = state.licenses(r)
+    sites = state.sites(r)
     for e, start in enumerate(state.rels[r]):
         if len(start) < 3:
             continue
-        found = _plateau_path(e, start, licenses)
+        found = _plateau_path(e, start, sites)
         if found:
             for move in found:
                 state.apply(r, move)
@@ -343,13 +365,13 @@ def _entry_plateau(state, r):
     return False
 
 
-def _plateau_path(e, start, licenses):
+def _plateau_path(e, start, sites):
     visited = {start}
     queue = deque([(start, ())])
     nodes = 0
     while queue:
         w, path = queue.popleft()
-        for site in _sites(w, licenses):
+        for site in sites(w):
             red, _ = _rewrite(w, *site[:3])
             if len(red) > len(start) or red in visited:
                 continue
@@ -433,10 +455,12 @@ def _guided_phase(state, pool, claims):
 
 def _bfs_rescue(state, r, pool, ngens):
     """Best-first search (priority: total relation length, then insertion
-    order) over single-relation moves, other relations frozen."""
+    order) over single-relation moves, other relations frozen, until a node
+    is a rotation of a waiting target (the pool is fixed meanwhile)."""
     budget = state.budget
     base = state.rels[r]
-    licenses = state.licenses(r)
+    sites = state.sites(r)
+    targets = _waiting_rotations(pool)
     conjs = [("conj", s * g) for g in range(1, ngens + 1) for s in (1, -1)]
     visited = {base}
     counter = itertools.count()
@@ -447,7 +471,7 @@ def _bfs_rescue(state, r, pool, ngens):
         if len(path) >= BFS_DEPTH:
             continue
         substs = (("subst", e) + site for e, w in enumerate(words)
-                  for site in _sites(w, licenses))
+                  for site in sites(w))
         for move in itertools.chain(conjs, substs):
             moved = _move(words, move, budget.max_word_len)
             if moved is None or moved[0] in visited:
@@ -458,7 +482,7 @@ def _bfs_rescue(state, r, pool, ngens):
                 return False
             visited.add(new)
             newpath = path + (move,)
-            if _pool_rotation(new, pool) is not None:
+            if new in targets:
                 for m in newpath:
                     state.apply(r, m)
                 return True

@@ -76,6 +76,7 @@ def workdir(tmp_path_factory):
     (d / "source.pres").write_text(format_presentation(tri.presentation))
     (d / "target.pres").write_text(
         format_presentation(candidate_cf(tri.lattice)))
+    (d / "triangle.cert").write_text(TEXTS["certificate"])
     return d
 
 
@@ -93,6 +94,20 @@ def _argv(fmt, path, d):
             "--target", str(d / "target.pres")]
 
 
+def _exit_code(argv):
+    """Run the command line; assert it exits 0, 1 or 2 and that an error is
+    the package's own message.  Returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        message = err.getvalue()
+        assert message.startswith("error: ")
+        assert not any(m in message for m in BUILTIN_MESSAGES), message
+    return rc
+
+
 @settings(max_examples=120)
 @given(case=CASES)
 @example(case=("group", "order=0\n"))
@@ -103,11 +118,23 @@ def test_mutated_inputs_exit_cleanly(workdir, case):
     fmt, text = case
     path = workdir / f"input.{fmt}"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(_argv(fmt, str(path), workdir))
-    assert rc in (0, 1, 2)
-    if rc == 1:
-        message = err.getvalue()
-        assert message.startswith("error: ")
-        assert not any(m in message for m in BUILTIN_MESSAGES), message
+    _exit_code(_argv(fmt, str(path), workdir))
+
+
+def test_replay_of_the_unmutated_files_succeeds(workdir):
+    assert _exit_code(["replay", "--input", str(workdir / "triangle.cert"),
+                       "--source", str(workdir / "source.pres"),
+                       "--target", str(workdir / "target.pres")]) == 0
+
+
+@settings(max_examples=80)
+@given(side=st.sampled_from(["source", "target"]), edits=EDITS)
+def test_replay_of_mutated_presentations_exits_cleanly(workdir, side, edits):
+    # the certificate is valid for the unmutated pair
+    files = {name: workdir / f"{name}.pres" for name in ("source", "target")}
+    mutated = workdir / f"mutated.{side}"
+    mutated.write_text(_mutate(files[side].read_text(), edits))
+    files[side] = mutated
+    _exit_code(["replay", "--input", str(workdir / "triangle.cert"),
+                "--source", str(files["source"]),
+                "--target", str(files["target"])])

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from arrgroup import (
@@ -28,7 +28,8 @@ from arrgroup import (
     replay,
     sweep,
 )
-from arrgroup.prover import _reduce_trace, _sites
+from arrgroup.prover import (_pool_rotation, _reduce_trace, _SiteIndex,
+                             _waiting_rotations)
 from conftest import fixture_arrangement, pipeline
 
 
@@ -272,11 +273,47 @@ def naive_sites(w, licenses):
 
 site_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
                       max_size=12).map(tuple)
+# few short left-hand sides over two letters: licenses share an lhs and
+# their occurrences overlap
+shared_lhs = st.lists(st.sampled_from([1, 2]), min_size=1,
+                      max_size=3).map(tuple)
 
 
-@given(site_words, st.lists(st.tuples(site_words.filter(bool), site_words),
-                            max_size=8))
+@example((1, 1, 1, 1), [((1, 1), ()), ((1, 1, 1), (2,)), ((1, 1), (2, 2))])
+@given(site_words, st.lists(st.tuples(site_words.filter(bool) | shared_lhs,
+                                      site_words), max_size=8))
 def test_sites_match_the_naive_scan(w, rewrites):
     licenses = [(lhs, rhs, ("swap", i, 0, 1, 0))
                 for i, (lhs, rhs) in enumerate(rewrites)]
-    assert list(_sites(w, licenses)) == naive_sites(w, licenses)
+    index = _SiteIndex(licenses)
+    first = index(w)
+    assert first == naive_sites(w, licenses)
+    index(w[::-1])
+    assert index(w) == first
+
+
+pool_words = st.lists(st.lists(st.sampled_from([1, -1, 2]), max_size=2).map(
+    tuple), max_size=3).map(tuple)
+
+
+@given(st.dictionaries(pool_words, st.lists(st.integers(0, 3), max_size=2),
+                       max_size=4), st.lists(pool_words, max_size=6))
+def test_waiting_rotations_match_the_pool_lookup(pool, probes):
+    # an empty list is a target already claimed
+    targets = _waiting_rotations(pool)
+    for words in probes + list(pool):
+        assert (words in targets) == (_pool_rotation(words, pool)
+                                      is not None)
+
+
+@pytest.mark.parametrize("name, nodes", [("triangle", 288),
+                                         ("triangle_plus_line", 768),
+                                         ("cycle5", 236)])
+def test_rescue_node_threshold(name, nodes):
+    # pins the rescue's move order and its node accounting: the proof
+    # needs exactly this many rescue nodes
+    pipe = pipeline(name)
+    for budget, status in ((nodes, "Certified"), (nodes - 1, "Unknown")):
+        verdict = cf_verdict(pipe.lattice, pipe.presentation, "identity",
+                             Budget(bfs_nodes=budget))
+        assert verdict.status == status
