@@ -301,7 +301,7 @@ pool_words = st.lists(st.lists(st.sampled_from([1, -1, 2]), max_size=2).map(
 def test_waiting_rotations_match_the_pool_lookup(pool, probes):
     # an empty list is a target already claimed
     targets = _waiting_rotations(pool)
-    for words in probes + list(pool):
+    for words in probes + [w[1:] + w[:1] for w in pool]:
         assert (words in targets) == (_pool_rotation(words, pool)
                                       is not None)
 
