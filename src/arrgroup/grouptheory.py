@@ -63,22 +63,13 @@ def fan_structure(n: int, multiplicities, betti: int) -> GroupDescriptor:
 
 
 def descriptor_presentation(d: GroupDescriptor) -> Presentation:
-    """The obvious presentation of a descriptor: central generators first,
-    then one block per free factor; commutators between every pair of
-    generators not sharing a free block."""
-    blocks = [[g] for g in range(1, d.rank + 1)]
-    next_gen = d.rank + 1
-    for m in d.free_factors:
-        blocks.append(list(range(next_gen, next_gen + m)))
-        next_gen += m
-    ngens = next_gen - 1
-    rels = []
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            for g in blocks[bi]:
-                for h in blocks[bj]:
-                    rels.append(CyclicRelation.make(((g,), (h,)), ngens))
-    return Presentation(ngens, tuple(rels), "projective")
+    """The obvious presentation of a descriptor: the direct sum of rank
+    copies of Z, then one free group per free factor."""
+    z = Presentation(1, (), "projective")
+    pres = direct_sum([z] * d.rank + [Presentation(m, (), "projective")
+                                      for m in d.free_factors])
+    # direct_sum of no parts is affine; the empty descriptor is projective
+    return Presentation(pres.ngens, pres.relations, "projective")
 
 
 def direct_sum(parts) -> Presentation:

@@ -329,43 +329,37 @@ def _try_claim(state, r, pool, claims):
 
 
 # ---------------------------------------------------------------------------
-# guided phase: strip, plateau and lookahead, relation by relation
+# guided phase: improve and lookahead, relation by relation
 # ---------------------------------------------------------------------------
 
-def _strip_fixpoint(state, r):
-    """Apply the first licensed substitution that shortens an entry until
-    none does; reports whether any was applied."""
+def _improve_fixpoint(state, r):
+    """Improve relation r until nothing shortens an entry: each pass
+    applies the first licensed substitution that shortens an entry, else
+    the first plateau path found over the entries of length at least 3.
+    The licenses come from the other relations, so one site index serves
+    every pass.  Reports whether any move was applied."""
+    sites = state.sites(r)
     progressed = False
     while True:
-        sites = state.sites(r)
-        move = next((("subst", e) + site
-                     for e, w in enumerate(state.rels[r])
-                     for site in sites(w)
-                     if len(_rewrite(w, *site[:3])[0]) < len(w)), None)
-        if move is None:
+        words = state.rels[r]
+        shorter = ((("subst", e) + site,) for e, w in enumerate(words)
+                   for site in sites(w)
+                   if len(_rewrite(w, *site[:3])[0]) < len(w))
+        plateau = (_plateau_path(e, w, sites)
+                   for e, w in enumerate(words) if len(w) >= 3)
+        path = next(shorter, None) or next(filter(None, plateau), None)
+        if path is None:
             return progressed
-        state.apply(r, move)
+        for move in path:
+            state.apply(r, move)
         progressed = True
 
 
-def _entry_plateau(state, r):
-    """Search for a strictly shorter form of one entry through licensed
-    substitutions that never lengthen it (equal-length bridge steps allowed,
-    as when a product of a plain bracket must be re-split before anything
-    cancels).  Applies the found path and reports success."""
-    sites = state.sites(r)
-    for e, start in enumerate(state.rels[r]):
-        if len(start) < 3:
-            continue
-        found = _plateau_path(e, start, sites)
-        if found:
-            for move in found:
-                state.apply(r, move)
-            return True
-    return False
-
-
 def _plateau_path(e, start, sites):
+    """A shortest path of licensed substitutions to a strictly shorter form
+    of entry e that never lengthens it (equal-length bridge steps allowed,
+    as when a product of a plain bracket must be re-split before anything
+    cancels), or None within PLATEAU_NODES."""
     visited = {start}
     queue = deque([(start, ())])
     nodes = 0
@@ -386,43 +380,23 @@ def _plateau_path(e, start, sites):
     return None
 
 
-def _improve_fixpoint(state, r):
-    progressed = False
-    while _strip_fixpoint(state, r) or _entry_plateau(state, r):
-        progressed = True
-    return progressed
-
-
-def _wrap_depth(w):
-    d = 0
-    while d < (len(w) - 1) // 2 and w[d] == -w[-1 - d]:
-        d += 1
-    return d
-
-
 def _conj_lookahead(state, r, pool):
     """Peel a conjugating prefix off one wrapped entry (re-splitting the
-    relation), then strip; keep the chain only if it shortens the relation
-    or lands on an unclaimed target."""
+    relation), then improve; keep the chain only if it shortens the
+    relation or lands on an unclaimed target."""
     total0 = state.total_len(r)
-    for e in range(len(state.rels[r])):
-        depth = _wrap_depth(state.rels[r][e])
-        if depth == 0:
-            continue
-        for dd in range(1, depth + 1):
+    for w in state.rels[r]:
+        dd = 0
+        while dd < (len(w) - 1) // 2 and w[dd] == -w[-1 - dd]:
+            dd += 1
             snap = state.snapshot()
             try:
-                for _ in range(dd):
-                    w = state.rels[r][e]
-                    if len(w) < 3 or w[0] != -w[-1]:
-                        break
-                    state.apply(r, ("conj", w[0]))
-                else:
-                    _improve_fixpoint(state, r)
-                    if (state.total_len(r) < total0
-                            or _pool_rotation(state.rels[r], pool)
-                            is not None):
-                        return True
+                for g in w[:dd]:
+                    state.apply(r, ("conj", g))
+                _improve_fixpoint(state, r)
+                if (state.total_len(r) < total0
+                        or _pool_rotation(state.rels[r], pool) is not None):
+                    return True
             except _WordTooLong:
                 pass
             state.restore(snap)

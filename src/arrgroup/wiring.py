@@ -154,9 +154,9 @@ def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
 
 
 def validate_pairs(pl: PairList, complete=True):
-    """Check a pair list: indices in range throughout the simulated sweep,
-    and (when claiming to cover a full no-parallels arrangement) that the
-    multiplicities account for every pair of wires: sum C(b-a+1, 2) = C(ell, 2).
+    """Check a pair list: every pair has 1 <= a < b <= ell, and (when
+    claiming to cover a full no-parallels arrangement) the multiplicities
+    account for every pair of wires: sum C(b-a+1, 2) = C(ell, 2).
     """
     total = 0
     for (a, b) in pl.pairs:

@@ -97,21 +97,20 @@ def test_cycle5_relation_families_exact():
 
 def test_ceva_never_certifies_under_any_ordering(tmp_path):
     with deadline(300.0, "no ordering certifies the ceva fixture"):
-        pipe = pipeline("ceva")
-        verdict = cf_verdict(pipe.lattice, pipe.presentation, orderings="all")
-        assert verdict.status == "Unknown"
-        assert verdict.certificate is None
-        assert verdict.orderings_tried == 720
-        assert verdict.evidence
+        out = tmp_path / "verdict.txt"
         rc = cli_main(
             ["verdict", "--input", fixture_file("ceva"), "--ordering", "all",
-             "--output", str(tmp_path / "verdict.txt")]
+             "--output", str(out)]
         )
         assert rc == 2
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["status: Unknown", "orderings tried: 720"]
+        assert any(line.startswith("evidence: ") for line in lines)
+        # an Unknown verdict writes no certificate next to its output
+        assert not (tmp_path / "verdict.txt.cert").exists()
         # stdout as recorded before the prover's per-proof license memo
         # and site index: the ordering search and its evidence are unchanged
-        digest = hashlib.sha256(
-            (tmp_path / "verdict.txt").read_bytes()).hexdigest()
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == ("679328f59f722a4dcee1f8feb472f154"
                           "6861195ffad4829dd3c061865bdeb810")
 

@@ -67,6 +67,8 @@ def test_descriptor_presentation_shape():
     # blocks of sizes 1, 1, 2, 3 give 1+2+3+2+3+6 cross pairs
     assert len(pres.relations) == 17
     assert all(rel.k == 2 for rel in pres.relations)
+    assert descriptor_presentation(GroupDescriptor(0, ())) == Presentation(
+        0, (), "projective")
 
 
 def test_oka_sakamoto_split_triangle_plus_line():

@@ -165,6 +165,21 @@ def test_hom_count_abort_is_honest():
         assert hom_count(pres, table, full.nodes - 1).outcome == "aborted"
 
 
+def test_hom_count_past_256_elements_counts_with_wide_indices():
+    # order 300 takes hom_count's int32 index branch; the constructor skips
+    # make's associativity check, which is cubic in the order
+    n = 300
+    z300 = FiniteGroupTable(
+        n, tuple(f"g{i}" for i in range(n)),
+        tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+        tuple(-i % n for i in range(n)))
+    commuting = Presentation(2, (CyclicRelation.make(((1,), (2,)), 2),))
+    fast = hom_count(commuting, z300)
+    assert (fast.count, fast.nodes) == (90_000, 90_300)
+    slow = hom_count_scalar(commuting, z300)
+    assert (slow.count, slow.nodes) == (fast.count, fast.nodes)
+
+
 def test_hom_count_cycle5_s4_evaluates_a_fifth_of_the_tree():
     r = hom_count(pipeline("cycle5").presentation, builtin_group("S4"))
     assert (r.count, r.nodes) == (7664160, 63551832)
