@@ -319,6 +319,19 @@ def _waiting_rotations(pool):
             if waiting for k in range(len(words))}
 
 
+def _exponent_sums(words):
+    """Each entry's exponent sum of every generator, as sorted nonzero
+    (generator, sum) pairs: the entry's image in the abelianization, which
+    every search move and free reduction keeps."""
+    out = []
+    for w in words:
+        sums = {}
+        for c in w:
+            sums[abs(c)] = sums.get(abs(c), 0) + (1 if c > 0 else -1)
+        out.append(tuple(sorted((g, s) for g, s in sums.items() if s)))
+    return tuple(out)
+
+
 def _try_claim(state, r, pool, claims):
     k = _pool_rotation(state.rels[r], pool)
     if k is None:
@@ -430,11 +443,19 @@ def _guided_phase(state, pool, claims):
 def _bfs_rescue(state, r, pool, ngens):
     """Best-first search (priority: total relation length, then insertion
     order) over single-relation moves, other relations frozen, until a node
-    is a rotation of a waiting target (the pool is fixed meanwhile)."""
+    is a rotation of a waiting target (the pool is fixed meanwhile).
+
+    Every move keeps each entry's exponent sums, so only the waiting
+    rotations that share the relation's are searched for, and the relation
+    is not searched at all when none does."""
     budget = state.budget
     base = state.rels[r]
+    sums = _exponent_sums(base)
+    targets = {words for words in _waiting_rotations(pool)
+               if _exponent_sums(words) == sums}
+    if not targets:
+        return False
     sites = state.sites(r)
-    targets = _waiting_rotations(pool)
     conjs = [("conj", s * g) for g in range(1, ngens + 1) for s in (1, -1)]
     visited = {base}
     counter = itertools.count()
@@ -724,6 +745,12 @@ class Verdict:
     reason: str
 
 
+def _counts_differ(a, b):
+    """Whether two homomorphism counts are both exact and differ, which
+    rules out any isomorphism between their groups."""
+    return a.outcome == b.outcome == "exact" and a.count != b.count
+
+
 def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
                budget: Budget | None = None) -> Verdict:
     """Certify (or fail to certify) that the arrangement presentation is
@@ -732,7 +759,10 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     orderings="identity" tries the given line order only; "all" tries every
     permutation of the lines (distinct candidates are proved once; a
     permutation only changes the candidate through the cyclic order of the
-    entries at each multiple point).  The Unknown verdict carries
+    entries at each multiple point).  Under "all", each distinct candidate
+    is counted into S3 first, and one whose exact count differs from the
+    presentation's is not proved, since no certificate can exist for it.
+    The Unknown verdict carries
     homomorphism-count evidence when the "all" search fails everywhere;
     with a single ordering its reason is the prover's (the budget that ran
     out, or the stuck relations).
@@ -759,6 +789,10 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     else:
         raise ProverError(f"unknown orderings mode {orderings!r}")
 
+    search_all = orderings == "all"
+    if search_all:
+        table = builtin_group("S3")
+        src_count = hom_count(pres, table, budget.hom_nodes)
     cache = {}
     tried = 0
     for perm in perms:
@@ -767,26 +801,30 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
         key = tuple(rel.words for rel in cand_line.relations)
         tried += 1
         if key not in cache:
-            cache[key] = (prove_equivalent(pres, cand_line, per_budget),
-                          cand_pos, cand_line)
-        result, cand_pos, cand_line = cache[key]
+            # a certificate makes the two groups equal, so a candidate whose
+            # S3 count differs is not proved
+            cnt = (hom_count(cand_line, table, budget.hom_nodes)
+                   if search_all else None)
+            if cnt is not None and _counts_differ(cnt, src_count):
+                result = ProveResult("unknown", None,
+                                     "homomorphism counts to S3 differ")
+            else:
+                result = prove_equivalent(pres, cand_line, per_budget)
+            cache[key] = (result, cnt, cand_pos, cand_line)
+        result, _, cand_pos, cand_line = cache[key]
         if result.status == "certified":
             assert is_conjugation_free(cand_pos)
             return Verdict("Certified", perm, cand_pos, cand_line,
                            result.certificate, tried, len(cache), (), "")
 
-    if orderings != "all":
+    if not search_all:
         return Verdict("Unknown", None, None, None, None, tried, len(cache),
                        (), result.reason)
-    table = builtin_group("S3")
-    src_count = hom_count(pres, table, budget.hom_nodes)
     evidence = [f"homomorphisms to S3: presentation {src_count.count}"]
     ruled_out = 0
-    for key, (result, cand_pos, cand_line) in sorted(cache.items()):
-        cnt = hom_count(cand_line, table, budget.hom_nodes)
+    for _, (_, cnt, _, cand_line) in sorted(cache.items()):
         marker = "matches"
-        if (cnt.outcome == "exact" and src_count.outcome == "exact"
-                and cnt.count != src_count.count):
+        if _counts_differ(cnt, src_count):
             marker = "differs, so this candidate is not equivalent"
             ruled_out += 1
         evidence.append(

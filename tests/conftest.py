@@ -1,15 +1,17 @@
-"""Shared helpers: fixture loading and the cached sweep of each fixture."""
+"""Shared helpers: fixture loading, the cached sweep of each fixture and
+affine images of arrangements."""
 
 from __future__ import annotations
 
 import functools
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
-from arrgroup import (Arrangement, Sweep, fixture_path, parse_arrangement,
-                      sweep)
+from arrgroup import (Arrangement, Line, Sweep, fixture_path,
+                      parse_arrangement, sweep)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -34,6 +36,19 @@ def fixture_arrangement(name: str) -> Arrangement:
 def pipeline(name: str) -> Sweep:
     """The sweep of one fixture, computed once per session."""
     return sweep(fixture_arrangement(name))
+
+
+def affine_image(arr, matrix, shift):
+    """The arrangement's image under p -> M p + shift: the line n.p = c
+    goes to (n M^-1).q = c + (n M^-1).shift."""
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in matrix)
+    det = a * d - b * c
+    lines = []
+    for line in arr.lines:
+        na = (line.a * d - line.b * c) / det
+        nb = (line.b * a - line.a * b) / det
+        lines.append(Line.make(na, nb, line.c + na * shift[0] + nb * shift[1]))
+    return Arrangement(tuple(lines))
 
 
 @pytest.fixture(scope="session")

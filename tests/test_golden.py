@@ -18,16 +18,25 @@ and at the end were recorded before the sweep carried the meridians' images
 from point to point.  The ``homcount`` digests of every fixture's
 presentation into S3, D4, A4 and S4 (each prints the count and the size of
 the search tree) were recorded before the counter kept one row per
-conjugation orbit.
+conjugation orbit.  The ``verdict`` digests of a shuffled affine image of
+ceva (Unknown under the identity ordering, naming its stuck relation) and of
+triangle_plus_line under ``--ordering all``, and the digest of the prover's
+reason on that ceva image with its lines numbered in file order (four
+stuck relations), were recorded before the rescue skipped targets by
+exponent sums and the ordering search skipped candidates by S3 counts.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
+from arrgroup import (candidate_cf, compute_lattice, genericize,
+                      lefschetz_pairs, parse_arrangement, presentation,
+                      prove_equivalent)
 from arrgroup.cli import main
-from conftest import fixture_file
+from conftest import affine_image, fixture_arrangement, fixture_file
 
 COMMANDS = {
     "present": ["present"],
@@ -109,6 +118,16 @@ def generic_10():
     return "".join(_through(0, c, m) for m, c in zip(slopes, intercepts))
 
 
+def ceva_image():
+    """ceva under p -> M p + (1, 0), M = [[1, 2], [-1, 1]], lines shuffled:
+    its identity candidate differs from it on S3."""
+    image = affine_image(fixture_arrangement("ceva"), ((1, 2), (-1, 1)),
+                         (1, 0))
+    lines = list(image.lines)
+    random.Random(8).shuffle(lines)
+    return "".join(f"{line.a} {line.b} {line.c}\n" for line in lines)
+
+
 VERDICT_CASES = {
     "k-pencil-12": (lambda: k_pencil(12), [], 0,
                     "52befa52bc0a518b21eb06a98932e7509d3abed131dc9627e2097897ba3f0d41"),
@@ -118,6 +137,10 @@ VERDICT_CASES = {
                             "cfb116f83fd028d750f7aa8396f5203423337940dac9f26c541ee9a9e9f3b8ec"),
     "cycle5-max-word-len-8": ("cycle5", ["--max-word-len", "8"], 2,
                               "04db773785f177a1ac5ace65677f34122c1a05058fd3b1fd87dee9496da2c52f"),
+    "ceva-image": (ceva_image, [], 2,
+                   "2ae760e87163eb82a12a607999448e9d421962c1024a009389ff984fbef2a9a1"),
+    "triangle_plus_line-all": ("triangle_plus_line", ["--ordering", "all"], 0,
+                               "51a5cdc5fd0924a8ee4f1893eb635478bbae53e6b7a6557301c3e36a10cd8045"),
 }
 
 
@@ -133,6 +156,22 @@ def test_verdict_matches_recorded_digest(case, tmp_path, capsys):
     assert main(["verdict", "--input", source] + flags) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CEVA_IMAGE_FILE_ORDER_REASON = (
+    "cb9e2535e634d9aed52a312f91897e39adeea4454cecb8e00e624fc519c5f94f")
+
+
+def test_ceva_image_in_file_order_reason_matches_recorded_digest():
+    # numbered in file order rather than by wire, the image leaves four
+    # relations stuck, none sharing its entries' exponent sums with a
+    # waiting target
+    generic, _ = genericize(parse_arrangement(ceva_image()))
+    result = prove_equivalent(presentation(lefschetz_pairs(generic)),
+                              candidate_cf(compute_lattice(generic)))
+    assert result.status == "unknown"
+    assert (hashlib.sha256(result.reason.encode()).hexdigest()
+            == CEVA_IMAGE_FILE_ORDER_REASON)
 
 
 # A realizable 12-wire pair list (every two wires cross once) whose widest

@@ -2,7 +2,6 @@
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -13,7 +12,6 @@ from arrgroup import (
     Budget,
     Certificate,
     CyclicRelation,
-    Line,
     Presentation,
     ProverError,
     ReplayError,
@@ -22,15 +20,18 @@ from arrgroup import (
     cf_verdict,
     format_certificate,
     format_verdict,
+    free_reduce,
     hom_count,
     parse_certificate,
     prove_equivalent,
     replay,
     sweep,
 )
-from arrgroup.prover import (_pool_rotation, _reduce_trace, _SiteIndex,
+from arrgroup.prover import (_bfs_rescue, _exponent_sums, _move,
+                             _pool_rotation, _reduce_trace,
+                             _relation_licenses, _SiteIndex, _State,
                              _waiting_rotations)
-from conftest import fixture_arrangement, pipeline
+from conftest import affine_image, fixture_arrangement, pipeline
 
 
 def two_gen_target():
@@ -195,19 +196,6 @@ def test_verdict_ceva_identity_is_unknown():
     assert "Unknown" in format_verdict(verdict)
 
 
-def affine_image(arr, matrix, shift):
-    """The arrangement's image under p -> M p + shift: the line n.p = c
-    goes to (n M^-1).q = c + (n M^-1).shift."""
-    (a, b), (c, d) = ((Fraction(v) for v in row) for row in matrix)
-    det = a * d - b * c
-    lines = []
-    for line in arr.lines:
-        na = (line.a * d - line.b * c) / det
-        nb = (line.b * a - line.a * b) / det
-        lines.append(Line.make(na, nb, line.c + na * shift[0] + nb * shift[1]))
-    return Arrangement(tuple(lines))
-
-
 IMAGES = {
     "reversed": lambda arr: Arrangement(arr.lines[::-1]),
     "shuffled": lambda arr: Arrangement(
@@ -317,3 +305,55 @@ def test_rescue_node_threshold(name, nodes):
         verdict = cf_verdict(pipe.lattice, pipe.presentation, "identity",
                              Budget(bfs_nodes=budget))
         assert verdict.status == status
+
+
+relation_words = st.lists(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(
+        lambda w: free_reduce(tuple(w))), min_size=1, max_size=3).map(tuple)
+
+
+@example(((1, 2, 3), (-2, -1)), ((1,), (2,)))
+@given(relation_words, relation_words)
+def test_rescue_moves_keep_exponent_sums(words, ws):
+    # what lets the rescue skip a target whose exponent sums differ
+    sites = _SiteIndex(_relation_licenses(1, ws))
+    moves = [("conj", s * g) for g in (1, 2, 3) for s in (1, -1)]
+    moves += [("subst", e) + site for e, w in enumerate(words)
+              for site in sites(w)]
+    for move in moves:
+        new, _ = _move(words, move, 100)
+        assert _exponent_sums(new) == _exponent_sums(words)
+
+
+def test_rescue_skips_a_relation_no_waiting_target_can_reach(monkeypatch):
+    def search(self, skip):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(_State, "sites", search)
+    state = _State(two_gen_source(), Budget())
+    # [ x1 ; x2 x3 x2^-1 ] shares its entries' exponent sums with [ x1 ; x3 ]
+    # only, in either rotation
+    assert not _bfs_rescue(state, 0, {((1,), (2,)): [0]}, 3)
+    assert not _bfs_rescue(state, 0, {((3,), (1,)): []}, 3)
+    with pytest.raises(AssertionError, match="searched"):
+        _bfs_rescue(state, 0, {((3,), (1,)): [0]}, 3)
+
+
+@pytest.mark.parametrize("hom_nodes, proofs", [(Budget().hom_nodes, 2),
+                                               (50, 16)])
+def test_ordering_search_proves_candidates_whose_s3_count_matches(
+        monkeypatch, hom_nodes, proofs):
+    # 14 of ceva's 16 candidates differ from it on S3; when the counts
+    # abort, nothing is ruled out and every candidate is proved
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prove_equivalent(*args)
+
+    monkeypatch.setattr("arrgroup.prover.prove_equivalent", counted)
+    pipe = pipeline("ceva")
+    verdict = cf_verdict(pipe.lattice, pipe.presentation, "all",
+                         Budget(hom_nodes=hom_nodes))
+    assert verdict.status == "Unknown"
+    assert (verdict.candidates_distinct, len(calls)) == (16, proofs)
