@@ -34,6 +34,7 @@ from arrgroup.invariants import HOM_NODES, builtin_group, hom_count
 from arrgroup.vankampen import (
     Presentation,
     candidate_cf,
+    canonical_rotation,
     conjugate_all,
     conjugate_letter,
     format_presentation,
@@ -757,12 +758,12 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     equivalent to the lattice-determined conjugation-free candidate.
 
     orderings="identity" tries the given line order only; "all" tries every
-    permutation of the lines (distinct candidates are proved once; a
-    permutation only changes the candidate through the cyclic order of the
-    entries at each multiple point).  Under "all", each distinct candidate
-    is counted into S3 first, and one whose exact count differs from the
-    presentation's is not proved, since no certificate can exist for it.
-    The Unknown verdict carries
+    permutation of the lines.  A permutation changes the line-labelled
+    candidate only through the cyclic order of the lines at each point,
+    so the search keys permutations by that tuple of cyclic orders, and
+    each distinct candidate is built, counted into S3 and proved once.  One
+    whose exact S3 count differs from the presentation's is not proved,
+    since no certificate can exist for it.  The Unknown verdict carries
     homomorphism-count evidence when the "all" search fails everywhere;
     with a single ordering its reason is the prover's (the budget that ran
     out, or the stuck relations).
@@ -778,64 +779,53 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
         if sorted(perm) != list(range(1, n + 1)):
             raise ProverError("explicit ordering must permute the lines")
         perms = [perm]
-        per_budget = budget
     elif orderings == "all":
         if n > 8:
             raise ProverError("ordering search is capped at 8 lines")
-        perms = [tuple(p) for p in
-                 itertools.permutations(range(1, n + 1))]
-        per_budget = dc_replace(budget,
-                                bfs_nodes=max(100, budget.bfs_nodes // 4))
+        perms = itertools.permutations(range(1, n + 1))
+        src_count = hom_count(pres, builtin_group("S3"), budget.hom_nodes)
+        budget = dc_replace(budget, bfs_nodes=max(100, budget.bfs_nodes // 4))
     else:
         raise ProverError(f"unknown orderings mode {orderings!r}")
 
-    search_all = orderings == "all"
-    if search_all:
-        table = builtin_group("S3")
-        src_count = hom_count(pres, table, budget.hom_nodes)
-    cache = {}
-    tried = 0
-    for perm in perms:
+    # cyclic orders -> S3 count of that candidate (None for one ordering)
+    counts = {}
+    for tried, perm in enumerate(perms, 1):
+        slot = {line: j for j, line in enumerate(perm)}
+        key = tuple(canonical_rotation(sorted(pt.incident, key=slot.get))
+                    for pt in lattice.points)
+        if key in counts:
+            continue
         cand_pos = candidate_cf(lattice, perm)
         cand_line = relabel_presentation(cand_pos, perm)
-        key = tuple(rel.words for rel in cand_line.relations)
-        tried += 1
-        if key not in cache:
-            # a certificate makes the two groups equal, so a candidate whose
-            # S3 count differs is not proved
-            cnt = (hom_count(cand_line, table, budget.hom_nodes)
-                   if search_all else None)
-            if cnt is not None and _counts_differ(cnt, src_count):
-                result = ProveResult("unknown", None,
-                                     "homomorphism counts to S3 differ")
-            else:
-                result = prove_equivalent(pres, cand_line, per_budget)
-            cache[key] = (result, cnt, cand_pos, cand_line)
-        result, _, cand_pos, cand_line = cache[key]
+        cnt = counts[key] = (
+            hom_count(cand_line, builtin_group("S3"), budget.hom_nodes)
+            if orderings == "all" else None)
+        # a certificate makes the two groups equal, so a candidate whose
+        # S3 count differs is not proved
+        if cnt is not None and _counts_differ(cnt, src_count):
+            continue
+        result = prove_equivalent(pres, cand_line, budget)
         if result.status == "certified":
             assert is_conjugation_free(cand_pos)
             return Verdict("Certified", perm, cand_pos, cand_line,
-                           result.certificate, tried, len(cache), (), "")
+                           result.certificate, tried, len(counts), (), "")
 
-    if not search_all:
-        return Verdict("Unknown", None, None, None, None, tried, len(cache),
+    if orderings != "all":
+        return Verdict("Unknown", None, None, None, None, tried, len(counts),
                        (), result.reason)
     evidence = [f"homomorphisms to S3: presentation {src_count.count}"]
-    ruled_out = 0
-    for _, (_, cnt, _, cand_line) in sorted(cache.items()):
-        marker = "matches"
-        if _counts_differ(cnt, src_count):
-            marker = "differs, so this candidate is not equivalent"
-            ruled_out += 1
-        evidence.append(
-            f"candidate with relations {len(cand_line.relations)}: "
-            f"{cnt.count} ({marker})")
-    if ruled_out == len(cache):
+    for key, cnt in sorted(counts.items()):
+        marker = ("differs, so this candidate is not equivalent"
+                  if _counts_differ(cnt, src_count) else "matches")
+        evidence.append(f"candidate with relations {len(key)}: "
+                        f"{cnt.count} ({marker})")
+    if all(_counts_differ(cnt, src_count) for cnt in counts.values()):
         evidence.append(
             "every distinct candidate has a different homomorphism "
             "count, so no ordering can work; reported Unknown because "
             "the verdict vocabulary has no stronger negative")
-    return Verdict("Unknown", None, None, None, None, tried, len(cache),
+    return Verdict("Unknown", None, None, None, None, tried, len(counts),
                    tuple(evidence),
                    "no ordering produced a certificate within budget")
 

@@ -32,6 +32,19 @@ def fixture_arrangement(name: str) -> Arrangement:
     return parse_arrangement(fixture_text(name))
 
 
+# Seven lines through one triple and one quadruple point, every other
+# point double: 5,040 orderings give 12 distinct candidates.
+TRIPLE_QUADRUPLE = """\
+0 1 -2
+1 -1/3 -2/3
+1 -2 2
+1 -3/2 2
+1 1/2 -2
+1 1/3 -5/3
+1 3 -5
+"""
+
+
 @functools.cache
 def pipeline(name: str) -> Sweep:
     """The sweep of one fixture, computed once per session."""

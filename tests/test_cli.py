@@ -168,6 +168,14 @@ def test_verdict_unknown_exits_two(capsys):
             in out)
 
 
+def test_verdict_ordering_search_cap_exits_one(tmp_path, capsys):
+    path = tmp_path / "nine.lines"
+    path.write_text("".join(f"{-i} 1 {i * i}\n" for i in range(1, 10)))
+    assert main(["verdict", "--input", str(path), "--ordering", "all"]) == 1
+    assert ("error: ordering search is capped at 8 lines"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("flags, reason", [
     (["--max-word-len", "2"], "word length budget exhausted"),
     (["--max-steps", "0"], "step budget exhausted"),

@@ -24,6 +24,10 @@ triangle_plus_line under ``--ordering all``, and the digest of the prover's
 reason on that ceva image with its lines numbered in file order (four
 stuck relations), were recorded before the rescue skipped targets by
 exponent sums and the ordering search skipped candidates by S3 counts.
+The ``verdict --ordering all`` digest of seven lines through one triple
+and one quadruple point (Unknown, 12 distinct candidates, evidence in the
+order of the quadruple point's cyclic orders) was recorded before the
+ordering search keyed its candidates by the cyclic orders at the points.
 """
 
 import hashlib
@@ -36,7 +40,8 @@ from arrgroup import (candidate_cf, compute_lattice, genericize,
                       lefschetz_pairs, parse_arrangement, presentation,
                       prove_equivalent)
 from arrgroup.cli import main
-from conftest import affine_image, fixture_arrangement, fixture_file
+from conftest import (TRIPLE_QUADRUPLE, affine_image, fixture_arrangement,
+                      fixture_file)
 
 COMMANDS = {
     "present": ["present"],
@@ -141,6 +146,8 @@ VERDICT_CASES = {
                    "2ae760e87163eb82a12a607999448e9d421962c1024a009389ff984fbef2a9a1"),
     "triangle_plus_line-all": ("triangle_plus_line", ["--ordering", "all"], 0,
                                "51a5cdc5fd0924a8ee4f1893eb635478bbae53e6b7a6557301c3e36a10cd8045"),
+    "triple-quadruple-all": (lambda: TRIPLE_QUADRUPLE, ["--ordering", "all"], 2,
+                             "f130087e9c241644193e296a77f4449d4b8afa4b85cdd0b5aec25264777599be"),
 }
 
 

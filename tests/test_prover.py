@@ -1,5 +1,6 @@
 """Equivalence prover, certificate replay and the conjugation-free verdict."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -22,8 +23,10 @@ from arrgroup import (
     format_verdict,
     free_reduce,
     hom_count,
+    parse_arrangement,
     parse_certificate,
     prove_equivalent,
+    relabel_presentation,
     replay,
     sweep,
 )
@@ -31,7 +34,8 @@ from arrgroup.prover import (_bfs_rescue, _exponent_sums, _move,
                              _pool_rotation, _reduce_trace,
                              _relation_licenses, _SiteIndex, _State,
                              _waiting_rotations)
-from conftest import affine_image, fixture_arrangement, pipeline
+from conftest import (TRIPLE_QUADRUPLE, affine_image, fixture_arrangement,
+                      pipeline)
 
 
 def two_gen_target():
@@ -357,3 +361,70 @@ def test_ordering_search_proves_candidates_whose_s3_count_matches(
                          Budget(hom_nodes=hom_nodes))
     assert verdict.status == "Unknown"
     assert (verdict.candidates_distinct, len(calls)) == (16, proofs)
+
+
+@pytest.mark.parametrize("orderings, builds", [("identity", 1), ("all", 16)])
+def test_ordering_search_builds_each_distinct_candidate_once(
+        monkeypatch, orderings, builds):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return candidate_cf(*args)
+
+    monkeypatch.setattr("arrgroup.prover.candidate_cf", counted)
+    pipe = pipeline("ceva")
+    verdict = cf_verdict(pipe.lattice, pipe.presentation, orderings)
+    assert verdict.status == "Unknown"
+    assert (verdict.candidates_distinct, len(calls)) == (builds, builds)
+
+
+def cyclic_orders(lattice, perm):
+    """Each point's incident lines in the ordering's slot order, as the set
+    of steps (line, next line) once around the cycle."""
+    slot = {line: j for j, line in enumerate(perm)}
+    orders = []
+    for pt in lattice.points:
+        ring = sorted(pt.incident, key=slot.get)
+        orders.append(frozenset(zip(ring, ring[1:] + ring[:1])))
+    return tuple(orders)
+
+
+@pytest.mark.parametrize("lattice, classes", [
+    (lambda: pipeline("ceva").lattice, 16),
+    (lambda: sweep(parse_arrangement(TRIPLE_QUADRUPLE)).lattice, 12),
+], ids=["ceva", "triple-quadruple"])
+def test_cyclic_orders_at_the_points_fix_the_candidate(lattice, classes):
+    # two orderings give the same line-labelled candidate exactly when they
+    # give every point the same cyclic order
+    lattice = lattice()
+    pairs = set()
+    for perm in itertools.permutations(range(1, lattice.n + 1)):
+        cand = relabel_presentation(candidate_cf(lattice, perm), perm)
+        pairs.add((cand, cyclic_orders(lattice, perm)))
+    assert (len({cand for cand, _ in pairs}),
+            len({orders for _, orders in pairs}), len(pairs)) == (
+                classes, classes, classes)
+
+
+def test_ordering_search_is_capped_at_eight_lines():
+    lines = "".join(f"{-i} 1 {i * i}\n" for i in range(1, 10))
+    swept = sweep(parse_arrangement(lines))
+    with pytest.raises(ProverError, match="capped at 8 lines"):
+        cf_verdict(swept.lattice, swept.presentation, "all")
+
+
+def test_ordering_search_rules_out_every_candidate_by_s3_counts(
+        monkeypatch):
+    def search(*args):
+        raise AssertionError("proved")
+
+    monkeypatch.setattr("arrgroup.prover.prove_equivalent", search)
+    # the free group on six letters has 6^6 maps into S3; no candidate has
+    verdict = cf_verdict(pipeline("ceva").lattice, Presentation(6, ()), "all")
+    assert verdict.status == "Unknown"
+    assert verdict.evidence[0] == "homomorphisms to S3: presentation 46656"
+    assert len(verdict.evidence) == 18
+    assert all("differs" in line for line in verdict.evidence[1:-1])
+    assert verdict.evidence[-1].startswith(
+        "every distinct candidate has a different homomorphism count")
