@@ -1,18 +1,22 @@
 """Exact rational plane geometry for line arrangements.
 
-Lines are affine rational lines a*x + b*y = c.  All predicates run over
+Lines are affine rational lines a*x + b*y = c.  Inputs and outputs are
 ``fractions.Fraction``; there is no floating point anywhere, so coincidence
 detection (several lines through one point) is exact rather than a tolerance
-judgement call.
+judgement call.  The lattice kernel works in integer homogeneous
+coordinates: each line is scaled once to integers, each pair of lines meets
+at an integer triple (X, Y, E), E > 0, standing for (X/E, Y/E), and points
+are merged and ordered on those triples before any ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from importlib import resources
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 
 class ArrangementError(ValueError):
@@ -142,18 +146,37 @@ class IntersectionPoint:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    points: tuple
+    points: tuple  # ascending in exact (x, y), as sort_points orders them
     n: int  # number of lines
     p: int  # number of multiple points (multiplicity >= 3)
 
 
-def _intersect(l1: Line, l2: Line):
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None  # parallel (or equal, which Arrangement forbids)
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return x, y
+def homogeneous(x: Fraction, y: Fraction):
+    """The integer triple (X, Y, E), E > 0, with x = X/E and y = Y/E."""
+    return (x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator)
+
+
+def _compare_xy(p, q):
+    """Negative, zero or positive as the point with homogeneous coordinates
+    p comes before, at or after q in (x, y) order, by cross-multiplying."""
+    return p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
+
+
+_xy_order = cmp_to_key(_compare_xy)
+
+
+def sort_points(points) -> tuple:
+    """The intersection points in ascending exact (x, y) order."""
+    return tuple(sorted(
+        points, key=lambda pt: _xy_order(homogeneous(pt.x, pt.y))))
+
+
+def _integer_line(line: Line):
+    """(A, B, C): the line scaled by the lcm of its denominators."""
+    m = lcm(line.a.denominator, line.b.denominator, line.c.denominator)
+    return tuple(v.numerator * (m // v.denominator)
+                 for v in (line.a, line.b, line.c))
 
 
 def compute_lattice(arr: Arrangement) -> IntersectionLattice:
@@ -165,15 +188,20 @@ def compute_lattice(arr: Arrangement) -> IntersectionLattice:
     if len(arr) == 0:
         raise ArrangementError("empty-arrangement", "arrangement has no lines")
     seen = {}
-    for (i, l1), (j, l2) in combinations(enumerate(arr.lines, 1), 2):
-        pt = _intersect(l1, l2)
-        if pt is None:
-            continue
-        seen.setdefault(pt, set()).update((i, j))
+    for (i, (a1, b1, c1)), (j, (a2, b2, c2)) in combinations(
+            enumerate(map(_integer_line, arr.lines), 1), 2):
+        d = a1 * b2 - a2 * b1
+        if d == 0:
+            continue  # parallel (or equal, which Arrangement forbids)
+        xn = c1 * b2 - c2 * b1
+        yn = a1 * c2 - a2 * c1
+        g = gcd(xn, yn, d) if d > 0 else -gcd(xn, yn, d)
+        seen.setdefault((xn // g, yn // g, d // g), set()).update((i, j))
     points = tuple(
-        IntersectionPoint(x, y, tuple(sorted(inc)), len(inc))
-        for (x, y), inc in sorted(seen.items())
-    )
+        IntersectionPoint(Fraction(xn, d), Fraction(yn, d),
+                          tuple(sorted(inc)), len(inc))
+        for (xn, yn, d), inc in sorted(seen.items(),
+                                       key=lambda kv: _xy_order(kv[0])))
     p = sum(1 for pt in points if pt.multiplicity >= 3)
     return IntersectionLattice(points, len(arr), p)
 
@@ -216,10 +244,9 @@ def multiple_point_graph(lat: IntersectionLattice) -> MultipleGraph:
     vertices = tuple(i for i, pt in enumerate(lat.points) if pt.multiplicity >= 3)
     edges = []
     for line_idx in range(1, lat.n + 1):
-        on_line = [i for i in vertices if line_idx in lat.points[i].incident]
-        # lexicographic (x, y) orders the points along any one line: x is
+        # the lattice's (x, y) order is the order along any one line: x is
         # strictly monotone on a non-vertical line, y on a vertical one
-        on_line.sort(key=lambda i: (lat.points[i].x, lat.points[i].y))
+        on_line = [i for i in vertices if line_idx in lat.points[i].incident]
         for u, v in zip(on_line, on_line[1:]):
             edges.append((u, v, line_idx))
     ncomp = len(components(vertices, ((u, v) for u, v, _ in edges)))

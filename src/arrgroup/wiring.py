@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, gcd
 
 from arrgroup.geometry import (Arrangement, IntersectionLattice,
                                IntersectionPoint, Line, compute_lattice,
-                               integer, parallel_pairs, records)
+                               homogeneous, integer, parallel_pairs, records,
+                               sort_points)
 
 
 class WiringError(ValueError):
@@ -47,11 +48,10 @@ class Transform:
     def apply_lattice(self, lat: IntersectionLattice) -> IntersectionLattice:
         """The lattice of the sheared arrangement: the same incidences at
         the sheared points, in compute_lattice's (x, y) order."""
-        points = sorted(
-            (IntersectionPoint(*self.apply_point(pt.x, pt.y), pt.incident,
-                               pt.multiplicity) for pt in lat.points),
-            key=lambda pt: (pt.x, pt.y))
-        return IntersectionLattice(tuple(points), lat.n, lat.p)
+        points = sort_points(
+            IntersectionPoint(*self.apply_point(pt.x, pt.y), pt.incident,
+                              pt.multiplicity) for pt in lat.points)
+        return IntersectionLattice(points, lat.n, lat.p)
 
     @property
     def is_identity(self):
@@ -75,13 +75,21 @@ def _generic_shear(arr: Arrangement, lat: IntersectionLattice) -> Transform:
     """The first shear, t = 0 included, under which no line is vertical and
     the points of ``lat`` (the lattice of ``arr``) have distinct
     x-coordinates.  Only finitely many t fail (one per vertical line and per
-    pair of points), so the search ends."""
+    pair of points), so the search ends.  With a point at (X/E, Y/E) and
+    t = p/q, the sheared x is (q*X + p*Y) / (q*E), compared in lowest
+    terms."""
+    coords = [homogeneous(pt.x, pt.y) for pt in lat.points]
+
+    def reduced(num, den):
+        g = gcd(num, den)
+        return num // g, den // g
+
     for t in chain((Fraction(0),), _shear_parameters()):
-        tf = Transform(t)
+        p, q = t.numerator, t.denominator
         if (all(line.b != line.a * t for line in arr)
-                and len({tf.apply_point(pt.x, pt.y)[0] for pt in lat.points})
-                == len(lat.points)):
-            return tf
+                and len({reduced(q * x + p * y, q * e) for x, y, e in coords})
+                == len(coords)):
+            return Transform(t)
 
 
 def _reject_parallel(arr: Arrangement, lat: IntersectionLattice):
@@ -126,21 +134,22 @@ def lefschetz_pairs(arr: Arrangement) -> PairList:
     for line in arr:
         if line.is_vertical:
             raise WiringError("not-generic", f"vertical line {line}")
-    xs = [pt.x for pt in lat.points]
-    if len(xs) != len(set(xs)):
+    # the points are in (x, y) order, so a shared x is shared by neighbours
+    if any(p.x == q.x for p, q in zip(lat.points, lat.points[1:])):
         raise WiringError("not-generic", "two intersection points share an x-coordinate")
     return _sweep_pairs(arr, lat)
 
 
 def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
-    """The sweep itself, for a generic arrangement and its lattice."""
+    """The sweep itself, for a generic arrangement and its lattice, whose
+    points have distinct x: the sweep meets them in reverse (x, y) order."""
     ell = len(arr)
     slopes = [line.slope for line in arr]
     # wire w holds the line with the w-th smallest slope (1-based)
     by_slope = sorted(range(1, ell + 1), key=lambda i: slopes[i - 1])
     order = list(by_slope)  # order[pos-1] = line index at height pos
     pairs = []
-    for pt in sorted(lat.points, key=lambda p: p.x, reverse=True):
+    for pt in reversed(lat.points):
         positions = sorted(order.index(i) + 1 for i in pt.incident)
         a, b = positions[0], positions[-1]
         if positions != list(range(a, b + 1)):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arrgroup import (
@@ -17,7 +17,8 @@ from arrgroup import (
     parse_arrangement,
 )
 from arrgroup.geometry import components, integer, parallel_pairs, records
-from conftest import fixture_arrangement, pipeline
+from conftest import (affine_image, arrangements, fixture_arrangement,
+                      prime_arrangement, reference_lattice, wide_arrangements)
 
 
 def test_records_drop_comments_blanks_and_empty_lines():
@@ -182,26 +183,6 @@ def pair_count_identity(arr):
     return crossing == covered
 
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=3
-)
-
-
-@st.composite
-def arrangements(draw):
-    nlines = draw(st.integers(min_value=1, max_value=6))
-    lines = []
-    for _ in range(nlines):
-        a = draw(rationals)
-        b = draw(rationals)
-        if a == 0 and b == 0:
-            b = Fraction(1)
-        line = Line.make(a, b, draw(rationals))
-        if line not in lines:
-            lines.append(line)
-    return Arrangement(tuple(lines))
-
-
 @given(arrangements())
 def test_pair_count_identity_random(arr):
     assert pair_count_identity(arr)
@@ -213,3 +194,58 @@ def test_lattice_points_lie_on_their_lines(arr):
     for pt in lat.points:
         for idx in pt.incident:
             assert arr.lines[idx - 1].contains(pt.x, pt.y)
+
+
+@given(arrangements())
+def test_lattice_matches_the_fraction_reference(arr):
+    assert compute_lattice(arr) == reference_lattice(arr)
+
+
+@given(wide_arrangements())
+def test_lattice_matches_the_reference_on_pencils_parallels_and_verticals(arr):
+    assert compute_lattice(arr) == reference_lattice(arr)
+
+
+def test_lattice_matches_the_reference_with_prime_denominators():
+    # 48 lines whose denominators are 4-digit primes: a common denominator
+    # for all 1,128 points would have tens of thousands of bits
+    arr = prime_arrangement(48, 48)
+    lat = compute_lattice(arr)
+    assert lat == reference_lattice(arr)
+    assert len(lat.points) == 48 * 47 // 2
+
+
+@given(st.one_of(arrangements(), wide_arrangements()))
+def test_lattice_points_ascend_and_carry_exactly_their_lines(arr):
+    lat = compute_lattice(arr)
+    keys = [(pt.x, pt.y) for pt in lat.points]
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    for pt in lat.points:
+        assert pt.incident == tuple(
+            i for i, line in enumerate(arr.lines, 1)
+            if line.contains(pt.x, pt.y))
+        assert pt.multiplicity == len(pt.incident)
+
+
+def test_one_line_has_no_points():
+    lat = compute_lattice(parse_arrangement("1/3 -2 5/7"))
+    assert lat.points == () and lat.n == 1 and lat.p == 0
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@given(st.one_of(arrangements(), wide_arrangements()),
+       st.tuples(small, small, small, small), st.tuples(small, small))
+def test_lattice_incidences_survive_an_affine_map(arr, entries, shift):
+    # an independent oracle: an invertible affine map moves the points, and
+    # may reorder them, but keeps which lines meet where
+    a, b, c, d = entries
+    assume(a * d != b * c)
+    image = affine_image(arr, ((a, b), (c, d)), shift)
+    before, after = compute_lattice(arr), compute_lattice(image)
+    assert sorted(pt.incident for pt in before.points) == sorted(
+        pt.incident for pt in after.points)
+    assert sorted(pt.multiplicity for pt in before.points) == sorted(
+        pt.multiplicity for pt in after.points)
+    assert (before.n, before.p) == (after.n, after.p)

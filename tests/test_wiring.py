@@ -1,7 +1,10 @@
 """Genericizing shears, the right-to-left sweep and the pairs file format."""
 
+from fractions import Fraction
+from itertools import chain
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arrgroup import (
@@ -19,8 +22,10 @@ from arrgroup import (
     validate_pairs,
     wiring_svg,
 )
-from arrgroup.wiring import PairList
-from conftest import fixture_arrangement, pipeline
+from arrgroup.geometry import parallel_pairs
+from arrgroup.wiring import PairList, _shear_parameters
+from conftest import (arrangements, fixture_arrangement, pipeline,
+                      wide_arrangements)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -69,6 +74,29 @@ def test_shear_carries_lattice_points_onto_sheared_lattice():
                 for pt in before.points} == {
             (pt.x, pt.y): pt.incident for pt in after.points}
         assert transform.apply_lattice(before) == after
+
+
+def reference_shear(arr):
+    """The genericizing shear's search over Fraction: the first t under
+    which no line is vertical and the sheared x-coordinates are distinct."""
+    lat = compute_lattice(arr)
+    for t in chain((Fraction(0),), _shear_parameters()):
+        if (all(line.b != line.a * t for line in arr)
+                and len({pt.x + t * pt.y for pt in lat.points})
+                == len(lat.points)):
+            return t
+
+
+@given(st.one_of(arrangements(), wide_arrangements()))
+def test_genericize_finds_the_reference_shear(arr):
+    assume(not parallel_pairs(compute_lattice(arr)))
+    assert genericize(arr)[1].t == reference_shear(arr)
+
+
+def test_genericize_finds_the_reference_shear_on_sheared_cases():
+    for text in SHEARED:
+        arr = parse_arrangement(text)
+        assert genericize(arr)[1].t == reference_shear(arr) != 0
 
 
 def test_lefschetz_pairs_two_lines():
