@@ -1,21 +1,18 @@
 """Shared helpers: fixture loading, the cached sweep of each fixture,
-affine images of arrangements, random arrangements and the reference
-lattice."""
+affine images of arrangements and random arrangements."""
 
 from __future__ import annotations
 
 import functools
-import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from arrgroup import (Arrangement, IntersectionLattice, IntersectionPoint,
-                      Line, Sweep, fixture_path, parse_arrangement, sweep)
+from arrgroup import (Arrangement, Line, Sweep, fixture_path,
+                      parse_arrangement, sweep)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -66,24 +63,6 @@ def affine_image(arr, matrix, shift):
         nb = (line.b * a - line.a * b) / det
         lines.append(Line.make(na, nb, line.c + na * shift[0] + nb * shift[1]))
     return Arrangement(tuple(lines))
-
-
-def reference_lattice(arr):
-    """compute_lattice over Fraction: every pair of lines meets by Cramer's
-    rule, points merge on their (x, y) and sort by it."""
-    seen = {}
-    for (i, l1), (j, l2) in combinations(enumerate(arr.lines, 1), 2):
-        det = l1.a * l2.b - l2.a * l1.b
-        if det == 0:
-            continue
-        x = (l1.c * l2.b - l2.c * l1.b) / det
-        y = (l1.a * l2.c - l2.a * l1.c) / det
-        seen.setdefault((x, y), set()).update((i, j))
-    points = tuple(
-        IntersectionPoint(x, y, tuple(sorted(inc)), len(inc))
-        for (x, y), inc in sorted(seen.items()))
-    return IntersectionLattice(
-        points, len(arr), sum(1 for pt in points if pt.multiplicity >= 3))
 
 
 rationals = st.fractions(
@@ -137,23 +116,6 @@ def wide_arrangements(draw):
         line = Line.make(a, b, c)
         if line not in lines:
             lines.append(line)
-    return Arrangement(tuple(lines))
-
-
-def prime_arrangement(seed, n):
-    """n distinct lines whose coefficients have 4-digit prime denominators,
-    from a seeded generator."""
-    rng = random.Random(seed)
-    primes = [p for p in range(1009, 10000)
-              if all(p % d for d in range(2, 100))]
-    lines = []
-    while len(lines) < n:
-        a, b, c = (Fraction(rng.randint(-10**4, 10**4), rng.choice(primes))
-                   for _ in range(3))
-        if a or b:
-            line = Line.make(a, b, c)
-            if line not in lines:
-                lines.append(line)
     return Arrangement(tuple(lines))
 
 

@@ -1,5 +1,6 @@
 """Exact lattice construction and the multiple-point graph."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,8 @@ from arrgroup import (
     FIXTURES,
     Arrangement,
     ArrangementError,
+    IntersectionLattice,
+    IntersectionPoint,
     Line,
     compute_lattice,
     multiple_point_graph,
@@ -18,7 +21,7 @@ from arrgroup import (
 )
 from arrgroup.geometry import components, integer, parallel_pairs, records
 from conftest import (affine_image, arrangements, fixture_arrangement,
-                      prime_arrangement, reference_lattice, wide_arrangements)
+                      wide_arrangements)
 
 
 def test_records_drop_comments_blanks_and_empty_lines():
@@ -194,6 +197,41 @@ def test_lattice_points_lie_on_their_lines(arr):
     for pt in lat.points:
         for idx in pt.incident:
             assert arr.lines[idx - 1].contains(pt.x, pt.y)
+
+
+def reference_lattice(arr):
+    """compute_lattice over Fraction: every pair of lines meets by Cramer's
+    rule, points merge on their (x, y) and sort by it."""
+    seen = {}
+    for (i, l1), (j, l2) in combinations(enumerate(arr.lines, 1), 2):
+        det = l1.a * l2.b - l2.a * l1.b
+        if det == 0:
+            continue
+        x = (l1.c * l2.b - l2.c * l1.b) / det
+        y = (l1.a * l2.c - l2.a * l1.c) / det
+        seen.setdefault((x, y), set()).update((i, j))
+    points = tuple(
+        IntersectionPoint(x, y, tuple(sorted(inc)), len(inc))
+        for (x, y), inc in sorted(seen.items()))
+    return IntersectionLattice(
+        points, len(arr), sum(1 for pt in points if pt.multiplicity >= 3))
+
+
+def prime_arrangement(seed, n):
+    """n distinct lines whose coefficients have 4-digit prime denominators,
+    from a seeded generator."""
+    rng = random.Random(seed)
+    primes = [p for p in range(1009, 10000)
+              if all(p % d for d in range(2, 100))]
+    lines = []
+    while len(lines) < n:
+        a, b, c = (Fraction(rng.randint(-10**4, 10**4), rng.choice(primes))
+                   for _ in range(3))
+        if a or b:
+            line = Line.make(a, b, c)
+            if line not in lines:
+                lines.append(line)
+    return Arrangement(tuple(lines))
 
 
 @given(arrangements())
