@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import groupby
 from math import gcd
 
 import numpy as np
@@ -252,7 +253,7 @@ class HomCount:
     count: int | None  # None when aborted
     outcome: str  # "exact" | "aborted"
     nodes: int  # candidate assignments in the unreduced search tree
-    cells: int  # (row, image) grid cells evaluated
+    cells: int  # kept rows times order; brackets run on the live ones
 
 
 class _Abort(Exception):
@@ -391,10 +392,14 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
               node_cap: int = HOM_NODES) -> HomCount:
     """Count homomorphisms from the presented group into the table group.
 
-    Layered backtracking over generator images, vectorized: rows are
-    surviving partial assignments and the candidate image of the next
-    generator is a broadcast axis, so a bracket is checked on the whole
-    (rows, order) grid at once.  A bracket [w1..wk] holds iff the prefix
+    Layered backtracking over generator images, vectorized over cells:
+    rows are surviving partial assignments, and a cell is a row with a
+    candidate image of the next generator.  Each layer starts from the
+    cells whose image is an orbit representative (below), and each of its
+    brackets keeps only the cells it holds on, so a bracket is evaluated
+    on the cells every earlier one kept.  In a word, each run of letters
+    other than the layer's generator is evaluated once per row and then
+    gathered onto the cells.  A bracket [w1..wk] holds iff the prefix
     product v(wm..w1) commutes with the suffix product v(wk..w_{m+1}) for
     every split point m, which evaluates every equality from one pass over
     the entries.
@@ -411,46 +416,67 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     ``nodes`` is the size of the unreduced search tree, the weight of the
     rows times the order at each layer, and ``node_cap`` bounds it: the
     count aborts (honestly) when that tree has more than node_cap
-    candidate assignments.  ``cells`` is the work done: the grid cells
-    evaluated, one per kept row and candidate image."""
+    candidate assignments.  ``cells`` is the (row, image) grid the
+    reduced tree visits, one cell per kept row and candidate image; the
+    brackets run on its live cells only."""
     order = table.order
+    # assignments are stored in dtype; group values in vtype, which also
+    # holds a * order + b, the index into the flat tables below
     dtype = np.uint8 if order <= 256 else np.int32
-    tab = np.array(table.table, dtype=dtype)
-    inv = np.array(table.inverse, dtype=dtype)
+    vtype = np.uint16 if order <= 256 else np.int64
+    tab = np.array(table.table, dtype=vtype)
+    prod = tab.ravel()  # prod[a * order + b] = ab
+    commute = (tab == tab.T).ravel()  # commute[a * order + b]: ab = ba
+    inv = np.array(table.inverse, dtype=vtype)
     orbits = orbit_table(table)
+    orbit_size = orbits.orbit_size.ravel()
+    next_stab = orbits.next_stab.ravel()
+    reps = orbits.is_rep.sum(axis=1)  # representatives per stabilizer
+    images = np.arange(order, dtype=vtype)
     layers = _brackets_by_layer(p, _assignment_order(p))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
     chunk_rows = max(1, (1 << 22) // order)
-    gcol = np.arange(order, dtype=dtype)[None, :]
     state = {"nodes": 0, "cells": 0}
 
-    def eval_word(word, part, layer):
-        # (rows, order) value grid; column `layer` is the broadcast axis
-        val = np.zeros((len(part), 1), dtype=dtype)
-        for c in word:
-            a = abs(c)
-            idx = gcol if a == layer else part[:, a - 1][:, None]
-            if c < 0:
-                idx = inv[idx]
-            val = tab[val, idx]
-        return val
+    def mul(a, b):
+        return prod.take(a * order + b)
 
-    def bracket_keep(entries, part, layer):
-        vals = [eval_word(w, part, layer) for w in entries]
+    def eval_word(word, part, ri, gi, layer):
+        # the word's value on the live cells (ri, gi): each run of letters
+        # other than the layer's is evaluated once per row of part, then
+        # gathered onto the cells
+        val = None
+        for is_layer, run in groupby(word, lambda c: abs(c) == layer):
+            if is_layer:
+                for c in run:
+                    x = gi if c > 0 else inv.take(gi)
+                    val = x if val is None else mul(val, x)
+                continue
+            x = None
+            for c in run:
+                col = part[:, abs(c) - 1]
+                col = col.astype(vtype) if c > 0 else inv.take(col)
+                x = col if x is None else mul(x, col)
+            x = x.take(ri)
+            val = x if val is None else mul(val, x)
+        return np.zeros(len(ri), dtype=vtype) if val is None else val
+
+    def bracket_keep(entries, part, ri, gi, layer):
+        vals = [eval_word(w, part, ri, gi, layer) for w in entries]
         k = len(vals)
         suffix = [None] * k  # suffix[m-1] = v(wk ... w_{m+1})
         acc = vals[k - 1]
         for m in range(k - 1, 0, -1):
             suffix[m - 1] = acc
             if m > 1:
-                acc = tab[acc, vals[m - 1]]
+                acc = mul(acc, vals[m - 1])
         keep = None
         prefix = vals[0]
         for m in range(1, k):
-            ok = tab[suffix[m - 1], prefix] == tab[prefix, suffix[m - 1]]
+            ok = commute.take(suffix[m - 1] * order + prefix)
             keep = ok if keep is None else keep & ok
             if m < k - 1:
-                prefix = tab[vals[m], prefix]
+                prefix = mul(vals[m], prefix)
         return keep
 
     def expand(assigned, stab, weight, layer):
@@ -465,22 +491,24 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
             state["cells"] += len(part) * order
             if state["nodes"] > node_cap:
                 raise _Abort
-            keep = orbits.is_rep[pstab]
+            # live cells (ri, gi), row-major: each row's representatives
+            live = orbits.is_rep[pstab]
+            ri = np.repeat(np.arange(len(part), dtype=np.int32), reps[pstab])
+            gi = np.broadcast_to(images, live.shape)[live]
             for entries in layers[layer]:
-                if not keep.any():
+                if not len(ri):
                     break
-                keep &= bracket_keep(entries, part, layer)
-            ri, gi = np.nonzero(keep)
-            rstab = pstab[ri]
-            nweight = pweight[ri] * orbits.orbit_size[rstab, gi]
+                keep = bracket_keep(entries, part, ri, gi, layer)
+                ri, gi = ri[keep], gi[keep]
+            cell = pstab.take(ri) * order + gi  # index into [stab, g]
+            nweight = pweight.take(ri) * orbit_size.take(cell)
             if layer == last_constrained:
                 total += int(nweight.sum()) * order ** (p.ngens - layer)
                 continue
             nxt = np.empty((len(ri), layer), dtype=dtype)
-            nxt[:, :layer - 1] = part[ri]
-            nxt[:, layer - 1] = gi.astype(dtype)
-            total += expand(nxt, orbits.next_stab[rstab, gi], nweight,
-                            layer + 1)
+            nxt[:, :layer - 1] = part.take(ri, axis=0)
+            nxt[:, layer - 1] = gi
+            total += expand(nxt, next_stab.take(cell), nweight, layer + 1)
         return total
 
     seed = np.zeros((1, 0), dtype=dtype)

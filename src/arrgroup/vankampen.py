@@ -121,36 +121,6 @@ def rotation_products(words):
     return out
 
 
-CANONICAL_CAP = 512  # canonical_form stops widening its plateau walk here
-
-
-def canonical_form(words, ngens):
-    """Conjugation-and-rotation canonical representative of a bracket.
-
-    Greedy shortening first, then a breadth-first walk over all simultaneous
-    single-letter conjugations that keep the minimal total length (plateau,
-    capped), finally the least rotation of them all.
-    Two brackets related by simultaneous conjugation and rotation map to the
-    same representative (within the plateau cap, which desk-scale inputs
-    never reach).
-    """
-    start = greedy_shorten(words, ngens)
-    total = sum(len(w) for w in start)
-    seen = {start}
-    frontier = [start]
-    while frontier and len(seen) < CANONICAL_CAP:
-        nxt = []
-        for cur in frontier:
-            for g in range(1, ngens + 1):
-                for s in (1, -1):
-                    cand = conjugate_letter(cur, s * g)
-                    if sum(len(w) for w in cand) == total and cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return min(canonical_rotation(t) for t in seen)
-
-
 @dataclass(frozen=True)
 class CyclicRelation:
     """Bracket relation [w1, ..., wk]; stored greedily shortened and in the

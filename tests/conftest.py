@@ -1,5 +1,6 @@
 """Shared helpers: fixture loading, the cached sweep of each fixture,
-affine images of arrangements and random arrangements."""
+affine images of arrangements, random arrangements and the canonical form
+of a bracket."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from arrgroup import (Arrangement, Line, Sweep, fixture_path,
                       parse_arrangement, sweep)
+from arrgroup.vankampen import (canonical_rotation, conjugate_letter,
+                                greedy_shorten)
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -63,6 +66,36 @@ def affine_image(arr, matrix, shift):
         nb = (line.b * a - line.a * b) / det
         lines.append(Line.make(na, nb, line.c + na * shift[0] + nb * shift[1]))
     return Arrangement(tuple(lines))
+
+
+CANONICAL_CAP = 512  # canonical_form stops widening its plateau walk here
+
+
+def canonical_form(words, ngens):
+    """Conjugation-and-rotation canonical representative of a bracket.
+
+    Greedy shortening first, then a breadth-first walk over all simultaneous
+    single-letter conjugations that keep the minimal total length (plateau,
+    capped), finally the least rotation of them all.
+    Two brackets related by simultaneous conjugation and rotation map to the
+    same representative (within the plateau cap, which desk-scale inputs
+    never reach).
+    """
+    start = greedy_shorten(words, ngens)
+    total = sum(len(w) for w in start)
+    seen = {start}
+    frontier = [start]
+    while frontier and len(seen) < CANONICAL_CAP:
+        nxt = []
+        for cur in frontier:
+            for g in range(1, ngens + 1):
+                for s in (1, -1):
+                    cand = conjugate_letter(cur, s * g)
+                    if sum(len(w) for w in cand) == total and cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+    return min(canonical_rotation(t) for t in seen)
 
 
 rationals = st.fractions(

@@ -35,10 +35,10 @@ from arrgroup import (
     sub_arrangement,
     word_mul,
     CyclicRelation,
-    canonical_form,
 )
 from arrgroup.cli import main as cli_main
-from conftest import SESSION_T0, fixture_arrangement, fixture_file, pipeline
+from conftest import (SESSION_T0, canonical_form, fixture_arrangement,
+                      fixture_file, pipeline)
 from test_vankampen import TRIANGLE_RELATIONS, cycle5_relation_families
 
 CALIBRATION_PAIRS = (

@@ -183,6 +183,7 @@ def test_hom_count_past_256_elements_counts_with_wide_indices():
 def test_hom_count_cycle5_s4_evaluates_a_fifth_of_the_tree():
     r = hom_count(pipeline("cycle5").presentation, builtin_group("S4"))
     assert (r.count, r.nodes) == (7664160, 63551832)
+    assert r.cells == 10_299_000
     assert r.cells * 5 <= r.nodes
 
 
@@ -245,7 +246,7 @@ def test_hom_count_vectorized_equals_scalar(data):
     table = TABLES[name]
     ngens = data.draw(st.integers(1, 3 if table.order <= 24 else 2))
     letter = st.integers(-ngens, ngens).filter(bool)
-    words = st.lists(st.lists(letter, min_size=1, max_size=3).map(tuple),
+    words = st.lists(st.lists(letter, min_size=1, max_size=6).map(tuple),
                      min_size=2, max_size=3)
     rels = tuple(CyclicRelation.make(tuple(w), ngens)
                  for w in data.draw(st.lists(words, max_size=3)))
@@ -255,6 +256,47 @@ def test_hom_count_vectorized_equals_scalar(data):
     assert fast.outcome == slow.outcome == "exact"
     assert fast.count == slow.count
     assert fast.cells <= fast.nodes
+
+
+def brackets(ngens, *entries):
+    return Presentation(ngens, tuple(CyclicRelation.make(words, ngens)
+                                     for words in entries))
+
+
+# hom_count assigns x1 before x2 (before x3), so each bracket is checked at
+# the layer of its highest generator: entries hold that letter twice with
+# runs of other letters between and around it, or reduce to the empty word
+KERNEL_PRESENTATIONS = (
+    brackets(2, ((2, 1, -2, 1), (2,)), ((1, -1), (2, 1))),
+    brackets(2, ((2, 1, -2, 1), (1,))),
+    brackets(2, ((1, 2, 1, -2, -1), (2, 2), (1,))),
+    brackets(3, ((3, 1, 2, 3, -2, 3), (1,)), ((1, 2), (3, -3)),
+             ((1, 1, 2, 3, 1, -2, 3, 2), (3,))),
+)
+
+# (count, nodes, cells) per table and presentation; the three-generator one
+# runs into the tables of order at most 24
+KERNEL_COUNTS = {
+    "A4": ((72, 156, 60), (72, 156, 60), (72, 156, 60), (360, 1884, 324)),
+    "A5": ((1140, 3660, 360), (600, 3660, 360), (1140, 3660, 360)),
+    "D4": ((64, 72, 48), (64, 72, 48), (64, 72, 48), (224, 584, 272)),
+    "Q8": ((64, 72, 48), (64, 72, 48), (64, 72, 48), (224, 584, 272)),
+    "S3": ((30, 42, 24), (24, 42, 24), (30, 42, 24), (84, 258, 90)),
+    "S4": ((312, 600, 144), (240, 600, 144), (312, 600, 144),
+           (1608, 14424, 1176)),
+    "Z6": ((36, 42, 42), (36, 42, 42), (36, 42, 42), (216, 258, 258)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_hom_count_kernel_matches_scalar_on_repeated_layer_letters(name):
+    table = TABLES[name]
+    got = []
+    for pres in KERNEL_PRESENTATIONS[:len(KERNEL_COUNTS[name])]:
+        fast = hom_count(pres, table)
+        assert fast.count == hom_count_scalar(pres, table).count
+        got.append((fast.count, fast.nodes, fast.cells))
+    assert tuple(got) == KERNEL_COUNTS[name]
 
 
 # closed forms: a generic arrangement's group is Z^n (Hattori 1975), and an

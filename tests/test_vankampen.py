@@ -13,7 +13,6 @@ from arrgroup import (
     CyclicRelation,
     Presentation,
     candidate_cf,
-    canonical_form,
     compute_lattice,
     format_presentation,
     format_presentation_json,
@@ -33,7 +32,7 @@ from arrgroup import (
 from arrgroup.vankampen import (conjugate_all, conjugate_letter,
                                 greedy_shorten, rotation_products)
 from arrgroup.wiring import PairList
-from conftest import fixture_arrangement, pipeline
+from conftest import canonical_form, fixture_arrangement, pipeline
 from test_golden import WIDE_PAIRS, _through
 
 
