@@ -28,7 +28,7 @@ def free_reduce(letters, ell=None):
 
 
 def word_inverse(w):
-    return tuple(-c for c in reversed(w))
+    return tuple([-c for c in w[::-1]])
 
 
 def word_mul(*words):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
@@ -133,12 +133,18 @@ def _relation_licenses(s, ws):
     forward fields, inverse fields) of the certificate steps."""
     out = []
     if len(ws) == 2:
+        sides = {}
         for (e1, e2), s1, s2 in itertools.product(((0, 1), (1, 0)),
                                                   (1, -1), (1, -1)):
-            lhs, rhs = _comm_sides(ws, e1, s1, e2, s2)
+            # (e2, s2, e1, s1), met first, has the same sides swapped
+            lhs, rhs = sides[e1, s1, e2, s2] = (
+                sides[e2, s2, e1, s1][::-1] if e1
+                else _comm_sides(ws, e1, s1, e2, s2))
             if lhs and lhs != rhs:
                 out.append((lhs, rhs, ("comm", s, (e1, s1, e2, s2),
                                        (e2, s2, e1, s1))))
+        # the rotation products are ab and ba: each swap is a comm above
+        return out
     prods = rotation_products(ws)
     for m1, m2 in itertools.permutations(range(len(prods)), 2):
         for iv in (0, 1):
@@ -168,36 +174,65 @@ def _reduce_trace(letters):
 
 
 class _SiteIndex:
-    """Every licensed substitution site in a word, (pos, lhs, rhs, tag),
-    license by license, left to right.  Built once per license list: the
-    licenses are grouped by lhs, so a word is searched by looking up each of
-    its slices of every lhs length, and each word's sites are computed once
-    for the index's lifetime."""
+    """Every licensed substitution site in a word, (pos, lhs, rhs, tag), in
+    the order of the granting relation s, its license index i, then pos.
+    Relations' licenses are added and removed whole, grouped by lhs; a word
+    is searched by looking up its slices of every lhs length held, and its
+    sites are memoized until the licenses change."""
 
-    def __init__(self, licenses):
+    def __init__(self):
         self.by_lhs = {}
+        self.granted = {}  # s -> its licenses
+        self.per_length = Counter()  # lhs length -> licenses of that length
+        self.memo = None  # word -> its sites; None once the licenses change
+
+    def add(self, s, licenses):
+        self.granted[s] = licenses
         for i, (lhs, rhs, tag) in enumerate(licenses):
-            self.by_lhs.setdefault(lhs, []).append((i, lhs, rhs, tag))
-        self.lengths = sorted({len(lhs) for lhs in self.by_lhs})
-        self.memo = {}
+            self.by_lhs.setdefault(lhs, []).append((s, i, lhs, rhs, tag))
+        self.per_length.update(len(lhs) for lhs, _, _ in licenses)
+        self.memo = None
+
+    def remove(self, s):
+        licenses = self.granted.pop(s)
+        for lhs in {lhs for lhs, _, _ in licenses}:
+            hits = [hit for hit in self.by_lhs.pop(lhs) if hit[0] != s]
+            if hits:
+                self.by_lhs[lhs] = hits
+        self.per_length.subtract(len(lhs) for lhs, _, _ in licenses)
+        self.memo = None
 
     def __call__(self, w):
+        if self.memo is None:
+            self.memo = {}
+            self.lengths = sorted(+self.per_length)
         sites = self.memo.get(w)
         if sites is None:
             get = self.by_lhs.get
             n = len(w)
-            # (license index, pos) is unique, so the sort never looks past it
-            hits = sorted((i, pos, lhs, rhs, tag)
-                          for length in self.lengths
-                          for pos in range(n - length + 1)
-                          for i, lhs, rhs, tag in get(w[pos:pos + length], ()))
-            sites = self.memo[w] = [hit[1:] for hit in hits]
+            # (s, i, pos) is unique, so the sort never looks past it
+            hits = sorted((s, i, pos, lhs, rhs, tag)
+                          for k in self.lengths
+                          for pos in range(n - k + 1)
+                          for s, i, lhs, rhs, tag in get(w[pos:pos + k], ()))
+            sites = self.memo[w] = [hit[2:] for hit in hits]
         return sites
 
 
 def _rewrite(w, pos, lhs, rhs):
-    """Replace the lhs at pos in w by rhs and freely reduce: (word, trace)."""
-    return _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+    """Replace the lhs at pos in w by rhs and freely reduce: (word, trace).
+    Only a cancelling junction needs reducing, as w and rhs are reduced."""
+    end = pos + len(lhs)
+    new = w[:pos] + rhs + w[end:]
+    if (not rhs or pos > 0 and w[pos - 1] == -rhs[0]
+            or end < len(w) and rhs[-1] == -w[end]):
+        return _reduce_trace(new)
+    return new, ()
+
+
+def _shortens(w, pos, lhs, rhs):
+    """Whether _rewrite(w, pos, lhs, rhs) is shorter than w."""
+    return len(rhs) < len(lhs) or len(_rewrite(w, pos, lhs, rhs)[0]) < len(w)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +268,8 @@ class _State:
         # (relation index, its words) -> that relation's licenses; lives for
         # one proof, so it never outgrows the states that proof visits
         self.license_memo = {}
-        self.index_key = self.index = None
+        self.index = _SiteIndex()
+        self.live = [None] * len(self.rels)  # words in the index, by s
 
     def total_len(self, r):
         return sum(len(w) for w in self.rels[r])
@@ -288,19 +324,19 @@ class _State:
                               for p, g in reversed(trace)] + undo)
 
     def sites(self, skip):
-        """The site index of the licenses every relation but ``skip``
-        grants, relation by relation.  Each relation's license list is built
-        once per state it is in; only the latest index is kept, keyed by
-        the other relations."""
-        key = tuple((s, ws) for s, ws in enumerate(self.rels) if s != skip)
-        if key != self.index_key:
-            licenses = []
-            for s_ws in key:
-                lic = self.license_memo.get(s_ws)
-                if lic is None:
-                    lic = self.license_memo[s_ws] = _relation_licenses(*s_ws)
-                licenses.extend(lic)
-            self.index_key, self.index = key, _SiteIndex(licenses)
+        """The proof's one site index, holding the licenses of every
+        relation but ``skip``: relations that changed are swapped out and
+        in again, each license list built once per state it is in."""
+        want = self.rels[:skip] + [None] + self.rels[skip + 1:]
+        for s, (had, ws) in enumerate(zip(self.live, want)):
+            if had != ws:
+                if had is not None:
+                    self.index.remove(s)
+                if ws is not None:
+                    if (s, ws) not in self.license_memo:
+                        self.license_memo[s, ws] = _relation_licenses(s, ws)
+                    self.index.add(s, self.license_memo[s, ws])
+        self.live = want
         return self.index
 
 
@@ -357,8 +393,7 @@ def _improve_fixpoint(state, r):
     while True:
         words = state.rels[r]
         shorter = ((("subst", e) + site,) for e, w in enumerate(words)
-                   for site in sites(w)
-                   if len(_rewrite(w, *site[:3])[0]) < len(w))
+                   for site in sites(w) if _shortens(w, *site[:3]))
         plateau = (_plateau_path(e, w, sites)
                    for e, w in enumerate(words) if len(w) >= 3)
         path = next(shorter, None) or next(filter(None, plateau), None)
@@ -560,24 +595,25 @@ def prove_equivalent(source: Presentation, target: Presentation,
     return ProveResult("certified", cert, "")
 
 
-def _check_index(ok, what):
+def _check_index(ok, what, *args):
     if not ok:
-        raise ReplayError("bad-index", what)
+        raise ReplayError("bad-index", what.format(*args))
 
 
-def _replay_step(rels, step, nrels, ngens):
+def _replay_step(rels, step, nrels, ngens, memo):
+    """Apply one step to rels; memo is the replay's, keyed by words."""
     kind = step[0]
     if kind not in _STEP_ARITY:
         raise ReplayError("unknown-step", str(step))
     r = step[1]
-    _check_index(0 <= r < nrels, f"{kind}: relation {r}")
+    _check_index(0 <= r < nrels, "{}: relation {}", kind, r)
     if kind in ("reduce", "expand", "comm", "swap"):
         e = step[2]
-        _check_index(0 <= e < len(rels[r]),
-                     f"{kind}: entry {e} of relation {r}")
+        _check_index(0 <= e < len(rels[r]), "{}: entry {} of relation {}",
+                     kind, e, r)
     if kind in ("conj", "expand"):
         g = step[-1]
-        _check_index(1 <= abs(g) <= ngens, f"{kind}: generator {g}")
+        _check_index(1 <= abs(g) <= ngens, "{}: generator {}", kind, g)
     if kind == "rot":
         words = rels[r]
         k = step[2] % len(words)
@@ -596,8 +632,8 @@ def _replay_step(rels, step, nrels, ngens):
         pos, s = step[3:5]
         if s == r:
             raise ReplayError("self-justified", f"relation {r} cites itself")
-        _check_index(0 <= s < nrels, f"source relation {s}")
-        src = [tuple(w) for w in rels[s]]
+        _check_index(0 <= s < nrels, "source relation {}", s)
+        src = tuple(map(tuple, rels[s]))
         if kind == "comm":
             _, _, _, _, _, e1, s1, e2, s2 = step
             if len(src) != 2:
@@ -605,14 +641,17 @@ def _replay_step(rels, step, nrels, ngens):
                                   f"relation {s} is not a 2-bracket")
             _check_index(e1 in (0, 1) and e2 in (0, 1)
                          and s1 in (1, -1) and s2 in (1, -1),
-                         f"comm entries {e1},{e2} signs {s1},{s2}")
-            lhs, rhs = _comm_sides(src, e1, s1, e2, s2)
+                         "comm entries {},{} signs {},{}", e1, e2, s1, s2)
+            key = (src, e1, s1, e2, s2)
+            lhs, rhs = memo.get(key) or memo.setdefault(
+                key, _comm_sides(src, e1, s1, e2, s2))
         else:
             _, _, _, _, _, m1, m2, iv = step
-            prods = rotation_products(src)
+            prods = memo.get(src) or memo.setdefault(src,
+                                                     rotation_products(src))
             _check_index(0 <= m1 < len(prods) and 0 <= m2 < len(prods)
                          and m1 != m2 and iv in (0, 1),
-                         f"products {m1},{m2} inverse flag {iv}")
+                         "products {},{} inverse flag {}", m1, m2, iv)
             lhs = _signed(prods[m1], 1 - 2 * iv)
             rhs = _signed(prods[m2], 1 - 2 * iv)
         w = tuple(rels[r][e])
@@ -645,12 +684,13 @@ def replay(source: Presentation, target: Presentation,
         raise ReplayError("bad-matching", "match is not a bijection")
 
     matched = [target.relations[match[r]] for r in range(nrels)]
+    memo = {}
     for start, steps, end, direction, side in (
             (source.relations, cert.forward, matched, "forward", "target"),
             (matched, cert.backward, source.relations, "backward", "source")):
         rels = [list(rel.words) for rel in start]
         for step in steps:
-            _replay_step(rels, step, nrels, cert.ngens)
+            _replay_step(rels, step, nrels, cert.ngens, memo)
         for r in range(nrels):
             got = tuple(tuple(w) for w in rels[r])
             want = end[r].words

@@ -28,6 +28,9 @@ The ``verdict --ordering all`` digest of seven lines through one triple
 and one quadruple point (Unknown, 12 distinct candidates, evidence in the
 order of the quadruple point's cyclic orders) was recorded before the
 ordering search keyed its candidates by the cyclic orders at the points.
+The certificate digests of two k-pencils (10 and 14 lines) and a generic
+12-line arrangement, each under the default budget and a 300-node rescue,
+were recorded before the prover kept one site index for a whole proof.
 """
 
 import hashlib
@@ -36,9 +39,10 @@ from fractions import Fraction
 
 import pytest
 
-from arrgroup import (candidate_cf, compute_lattice, genericize,
-                      lefschetz_pairs, parse_arrangement, presentation,
-                      prove_equivalent)
+from arrgroup import (Budget, candidate_cf, cf_verdict, compute_lattice,
+                      format_certificate, genericize, lefschetz_pairs,
+                      parse_arrangement, presentation, prove_equivalent,
+                      sweep)
 from arrgroup.cli import main
 from conftest import (TRIPLE_QUADRUPLE, affine_image, fixture_arrangement,
                       fixture_file)
@@ -123,6 +127,16 @@ def generic_10():
     return "".join(_through(0, c, m) for m, c in zip(slopes, intercepts))
 
 
+def generic_12():
+    slopes = [Fraction(k, 4) for k in (1, 2, 3, 5, 6, 7, 9, 10, 13, 15, 18,
+                                       22)]
+    intercepts = [Fraction(-31, 4), Fraction(7, 3), Fraction(-11, 2),
+                  Fraction(19, 5), Fraction(1, 3), Fraction(-9),
+                  Fraction(25, 4), Fraction(-7, 5), Fraction(17, 2),
+                  Fraction(-23, 6), Fraction(3), Fraction(-1, 7)]
+    return "".join(_through(0, c, m) for m, c in zip(slopes, intercepts))
+
+
 def ceva_image():
     """ceva under p -> M p + (1, 0), M = [[1, 2], [-1, 1]], lines shuffled:
     its identity candidate differs from it on S3."""
@@ -163,6 +177,37 @@ def test_verdict_matches_recorded_digest(case, tmp_path, capsys):
     assert main(["verdict", "--input", source] + flags) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CERTIFICATE_SOURCES = {"k-pencil-10": lambda: k_pencil(10),
+                       "k-pencil-14": lambda: k_pencil(14),
+                       "generic-12": generic_12}
+CERTIFICATE_BUDGETS = {"default": Budget(), "bfs-300": Budget(bfs_nodes=300)}
+CERTIFICATE_DIGESTS = {
+    ("k-pencil-10", "default"):
+        "28cce5a916af5f719a88b476a8560538eb31806a11fb1e3de395a7f0eb5a0ea5",
+    ("k-pencil-10", "bfs-300"):
+        "28cce5a916af5f719a88b476a8560538eb31806a11fb1e3de395a7f0eb5a0ea5",
+    ("k-pencil-14", "default"):
+        "3b5b4f4787dc43e73f51f6fa97e3a1f7fb6f86d2a9f5e1dba498c0e02cbc4ef4",
+    ("k-pencil-14", "bfs-300"):
+        "3b5b4f4787dc43e73f51f6fa97e3a1f7fb6f86d2a9f5e1dba498c0e02cbc4ef4",
+    ("generic-12", "default"):
+        "1d64214bb4902a573704b7fa2c40a45cb2cb773aa57322df18225366b33bdcd5",
+    ("generic-12", "bfs-300"):
+        "1d64214bb4902a573704b7fa2c40a45cb2cb773aa57322df18225366b33bdcd5",
+}
+
+
+@pytest.mark.parametrize("case, budget", list(CERTIFICATE_DIGESTS))
+def test_certificate_matches_recorded_digest(case, budget):
+    swept = sweep(parse_arrangement(CERTIFICATE_SOURCES[case]()))
+    verdict = cf_verdict(swept.lattice, swept.presentation, "identity",
+                         CERTIFICATE_BUDGETS[budget])
+    assert verdict.status == "Certified"
+    text = format_certificate(verdict.certificate)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CERTIFICATE_DIGESTS[case, budget])
 
 
 CEVA_IMAGE_FILE_ORDER_REASON = (

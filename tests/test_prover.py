@@ -32,8 +32,8 @@ from arrgroup import (
 )
 from arrgroup.prover import (_bfs_rescue, _exponent_sums, _move,
                              _pool_rotation, _reduce_trace,
-                             _relation_licenses, _SiteIndex, _State,
-                             _waiting_rotations)
+                             _relation_licenses, _rewrite, _shortens,
+                             _SiteIndex, _State, _waiting_rotations)
 from conftest import (TRIPLE_QUADRUPLE, affine_image, fixture_arrangement,
                       pipeline)
 
@@ -277,11 +277,17 @@ shared_lhs = st.lists(st.sampled_from([1, 2]), min_size=1,
 def test_sites_match_the_naive_scan(w, rewrites):
     licenses = [(lhs, rhs, ("swap", i, 0, 1, 0))
                 for i, (lhs, rhs) in enumerate(rewrites)]
-    index = _SiteIndex(licenses)
+    # granted by three relations, added last first: sites come in relation
+    # order, which is the order of the whole license list
+    index = _SiteIndex()
+    for s in (2, 1, 0):
+        index.add(s, licenses[3 * s:3 * s + 3])
     first = index(w)
     assert first == naive_sites(w, licenses)
     index(w[::-1])
     assert index(w) == first
+    index.remove(2)
+    assert index(w) == naive_sites(w, licenses[:6])
 
 
 pool_words = st.lists(st.lists(st.sampled_from([1, -1, 2]), max_size=2).map(
@@ -320,7 +326,8 @@ relation_words = st.lists(
 @given(relation_words, relation_words)
 def test_rescue_moves_keep_exponent_sums(words, ws):
     # what lets the rescue skip a target whose exponent sums differ
-    sites = _SiteIndex(_relation_licenses(1, ws))
+    sites = _SiteIndex()
+    sites.add(1, _relation_licenses(1, ws))
     moves = [("conj", s * g) for g in (1, 2, 3) for s in (1, -1)]
     moves += [("subst", e) + site for e, w in enumerate(words)
               for site in sites(w)]
@@ -341,6 +348,92 @@ def test_rescue_skips_a_relation_no_waiting_target_can_reach(monkeypatch):
     assert not _bfs_rescue(state, 0, {((3,), (1,)): []}, 3)
     with pytest.raises(AssertionError, match="searched"):
         _bfs_rescue(state, 0, {((3,), (1,)): [0]}, 3)
+
+
+def fresh_index(rels, skip):
+    index = _SiteIndex()
+    for s, ws in enumerate(rels):
+        if s != skip:
+            index.add(s, _relation_licenses(s, ws))
+    return index
+
+
+@given(st.lists(relation_words, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), relation_words | st.none()),
+                max_size=10), site_words)
+def test_one_site_index_follows_the_live_relations(rels, ops, probe):
+    # ops rewrite a relation (words) or ask for the sites without one (None)
+    state = _State(Presentation(3, tuple(map(CyclicRelation, rels))),
+                   Budget())
+    for k, words in ops + [(0, None)]:
+        s = k % len(rels)
+        if words is not None:
+            state.rels[s] = words
+            continue
+        index = state.sites(s)
+        fresh = fresh_index(state.rels, s)
+        licenses = [lic for t, ws in enumerate(state.rels) if t != s
+                    for lic in _relation_licenses(t, ws)]
+        # every lhs either index holds is a word with a site in it
+        for w in [probe, *index.by_lhs, *fresh.by_lhs]:
+            assert index(w) == fresh(w) == naive_sites(w, licenses)
+        assert index.lengths == sorted({len(lhs) for lhs in index.by_lhs})
+
+
+@example(((1,), (2,)), [(0, (-2,), ()), (0, (3,), (-1,)), (0, (3,), ())])
+@given(relation_words, st.lists(st.tuples(st.integers(0, 15), site_words,
+                                          site_words), max_size=6))
+def test_rewrite_and_shortening_test_match_the_full_reduction(ws, placements):
+    # words holding a license's lhs between two random words, reduced
+    licenses = _relation_licenses(0, ws)
+    index = _SiteIndex()
+    index.add(1, licenses)
+    words = [free_reduce(u + licenses[k % len(licenses)][0] + v)
+             for k, u, v in placements if licenses]
+    for w in words:
+        for pos, lhs, rhs, _ in index(w):
+            # the full reduction of the rewritten word is the reference
+            red, trace = _reduce_trace(w[:pos] + rhs + w[pos + len(lhs):])
+            got = _rewrite(w, pos, lhs, rhs)
+            assert (got[0], list(got[1])) == (red, trace)
+            assert _shortens(w, pos, lhs, rhs) == (len(red) < len(w))
+
+
+@pytest.mark.parametrize("name, count", [("triangle", 84), ("cycle5", 300),
+                                         ("ceva", 72)])
+def test_no_license_is_granted_twice(name, count):
+    # a 2-bracket's swaps are its comms; only the comms are granted
+    pipe = pipeline(name)
+    for pres in (pipe.presentation, candidate_cf(pipe.lattice)):
+        lists = [_relation_licenses(s, rel.words)
+                 for s, rel in enumerate(pres.relations)]
+        for lic in lists:
+            assert len({(lhs, rhs) for lhs, rhs, _ in lic}) == len(lic)
+        assert sum(map(len, lists)) == count
+
+
+@pytest.mark.parametrize("cited, entry, first, again", [
+    # [ x1 ; x2 ] licenses x2 x1 -> x1 x2 and back
+    (((1,), (2,)), (2, 1), (1, 1, 0, 1), (0, 1, 1, 1)),
+    # [ x1 ; x2 ; x3 ] trades its products x3 x2 x1 and x1 x3 x2
+    (((1,), (2,), (3,)), (3, 2, 1), (0, 1, 0), (1, 0, 0)),
+], ids=["comm", "swap"])
+def test_replay_checks_a_citation_against_the_current_words(
+        cited, entry, first, again):
+    # relation 1 cites relation 0 there and back; then relation 0 is
+    # conjugated, and the first citation, repeated, names an lhs that its
+    # new words no longer give
+    kind = "comm" if len(first) == 4 else "swap"
+    pres = Presentation(3, (CyclicRelation(cited),
+                            CyclicRelation((entry, (1,)))))
+    there, back = ((kind, 1, 0, 0, 0) + f for f in (first, again))
+    cert = Certificate(3, 2, ((0, 0), (1, 1)),
+                       (there, back, ("conj", 0, 1), there), ())
+    with pytest.raises(ReplayError) as err:
+        replay(pres, pres, cert)
+    assert err.value.code == "no-occurrence"
+    # without the conjugation the same steps carry pres onto itself
+    replay(pres, pres, replace(cert, forward=(there, back)))
 
 
 @pytest.mark.parametrize("hom_nodes, proofs", [(Budget().hom_nodes, 2),
