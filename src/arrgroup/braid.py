@@ -5,6 +5,10 @@ x_i, -i is x_i^-1.  Braid words are tuples of signed integers over the
 elementary twists: +i is sigma_i, -i its inverse.  Everything is kept freely
 reduced; there are no normal forms beyond that, since the words that arise
 here are short conjugates of generators.
+
+The pipeline uses only the word functions.  The Artin section (the action,
+braid inverses and half-twists) serves ``vankampen.point_relation_words``,
+the per-point reference that ``presentation`` is tested against.
 """
 
 from __future__ import annotations
@@ -44,14 +48,8 @@ def word_mul(*words):
 
 def substitute(images, w):
     """The freely reduced image of word w when each x_g maps to images[g]."""
-    out = []
-    for c in w:
-        for d in images[c] if c > 0 else word_inverse(images[-c]):
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-    return tuple(out)
+    return word_mul(*[images[c] if c > 0 else word_inverse(images[-c])
+                      for c in w])
 
 
 def format_word(w):
@@ -120,14 +118,7 @@ def artin_apply(braid, w, ell=None):
         if i == 0 or (ell is not None and i + 1 > ell):
             raise ValueError(f"strand index {t} out of range")
         sign = 1 if t > 0 else -1
-        out = []
-        for g in w:
-            for c in _letter_image(g, i, sign):
-                if out and out[-1] == -c:
-                    out.pop()
-                else:
-                    out.append(c)
-        w = tuple(out)
+        w = word_mul(*[_letter_image(g, i, sign) for g in w])
     return w
 
 
@@ -147,15 +138,3 @@ def halftwist(a, b, ell):
     for top in range(b - 1, a - 1, -1):
         word.extend(range(a, top + 1))
     return tuple(word)
-
-
-def prefix_braid(pl, i):
-    """Concatenation of the half-twists of the first i-1 Lefschetz pairs, in
-    list order; the empty braid for i = 1."""
-    if not (1 <= i <= len(pl.pairs)):
-        raise ValueError(f"point index {i} out of range 1..{len(pl.pairs)}")
-    word = []
-    for (a, b) in pl.pairs[: i - 1]:
-        word.extend(halftwist(a, b, pl.ell))
-    return tuple(word)
-

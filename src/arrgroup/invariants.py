@@ -300,42 +300,22 @@ def _assignment_order(p: Presentation):
     return order + sorted(remaining)
 
 
-def _columns(order):
-    """Layer coordinates as a substitution table: generator order[j-1]
-    becomes column j."""
+def _by_layer(order, items):
+    """Word tuples grouped by the first layer of the assignment order where
+    their generator support is decidable, recoded into layer coordinates
+    (generator order[j-1] becomes column j) and sorted by total length,
+    then words.  ``items`` are (support, words) pairs; an empty support is
+    dropped."""
     col = [()] * (len(order) + 1)
     for j, g in enumerate(order, 1):
         col[g] = (j,)
-    return col
-
-
-def _constraints_by_layer(p: Presentation, order):
-    """Equations grouped by the first layer of the assignment order where
-    they are decidable, rewritten into layer coordinates."""
-    col = _columns(order)
     layers = {j: [] for j in range(1, len(order) + 1)}
-    for base, q, support in _equations(p):
-        layer = max(col[g][0] for g in support)
-        layers[layer].append((substitute(col, base), substitute(col, q)))
-    for eqs in layers.values():
-        eqs.sort(key=lambda e: (len(e[0]) + len(e[1]), e))
-    return layers
-
-
-def _brackets_by_layer(p: Presentation, order):
-    """Whole brackets grouped by the layer where all their entries are
-    decidable (every split-point equality of a bracket has the same
-    support), entries recoded into layer coordinates."""
-    col = _columns(order)
-    layers = {j: [] for j in range(1, len(order) + 1)}
-    for rel in p.relations:
-        support = {abs(c) for w in rel.words for c in w}
-        if not support:
-            continue
-        layer = max(col[g][0] for g in support)
-        layers[layer].append(tuple(substitute(col, w) for w in rel.words))
-    for brs in layers.values():
-        brs.sort(key=lambda ws: (sum(len(w) for w in ws), ws))
+    for support, words in items:
+        if support:
+            layers[max(col[g][0] for g in support)].append(
+                tuple(substitute(col, w) for w in words))
+    for entries in layers.values():
+        entries.sort(key=lambda ws: (sum(map(len, ws)), ws))
     return layers
 
 
@@ -433,7 +413,10 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     next_stab = orbits.next_stab.ravel()
     reps = orbits.is_rep.sum(axis=1)  # representatives per stabilizer
     images = np.arange(order, dtype=vtype)
-    layers = _brackets_by_layer(p, _assignment_order(p))
+    # whole brackets: every split-point equality of one has its support
+    layers = _by_layer(_assignment_order(p), (
+        ({abs(c) for w in rel.words for c in w}, rel.words)
+        for rel in p.relations))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
     chunk_rows = max(1, (1 << 22) // order)
     state = {"nodes": 0, "cells": 0}
@@ -528,7 +511,8 @@ def hom_count_scalar(p: Presentation, table: FiniteGroupTable,
     order = table.order
     tab = table.table
     inv = table.inverse
-    layers = _constraints_by_layer(p, list(range(1, p.ngens + 1)))
+    layers = _by_layer(range(1, p.ngens + 1),
+                       ((s, (base, q)) for base, q, s in _equations(p)))
     state = {"nodes": 0}
 
     def value(word, assign):

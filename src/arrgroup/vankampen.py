@@ -17,12 +17,14 @@ point where the monodromy loop is split, which does not change the relation.
 ``presentation`` does the transport with a running table: images[g] is the
 image of x_g under the inverse braid of the points swept so far.  Point i
 reads its words off the table, then the table takes the inverse half-twist
-of point i: its image of x_g, for g in a..b, is rewritten letter by letter
-through the table and freely reduced; every other generator is fixed.  Each
-point's half-twist is applied once, so the sweep is linear in the number of
-points, and since reduced words are unique the words equal those of
-``point_relation_words``, which rebuilds the whole prefix braid per point
-and is kept as the reference.
+of point i on a..b.  That twist has a closed form: for h in a..b it sends
+x_{a+b-h} to T^-1 x_h T, with T = x_{h+1} ... x_b, and it fixes every other
+generator.  Walking h down from b keeps T as a running product of table
+entries, so each point costs a few word products and the sweep is linear in
+the number of points.  Since reduced words are unique, the words equal
+those of ``point_relation_words``, the per-point reference, which builds the
+whole prefix braid and applies it with the Artin action of
+``arrgroup.braid``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from arrgroup.braid import (
     free_reduce,
     halftwist,
     parse_word,
-    prefix_braid,
     substitute,
     word_inverse,
     word_mul,
@@ -47,12 +48,6 @@ from arrgroup.geometry import (Arrangement, IntersectionLattice,
                                IntersectionPoint, integer, records)
 from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
                              validate_pairs)
-
-
-def _iota(w):
-    """The mirror involution x_g -> x_g^-1, letterwise (an automorphism of
-    the free group since it reverses no ordering)."""
-    return tuple(-c for c in w)
 
 
 def conjugate_all(words, v):
@@ -158,25 +153,30 @@ class Presentation:
         for rel in self.relations:
             for w in rel.words:
                 for c in w:
-                    if abs(c) > self.ngens:
-                        raise ValueError(
-                            f"generator x{abs(c)} exceeds ngens={self.ngens}"
-                        )
+                    if not 0 < abs(c) <= self.ngens:
+                        raise ValueError(f"generator index {c} out of range "
+                                         f"1..{self.ngens}")
 
 
 def point_relation_words(pl: PairList, i: int):
     """Relation words of point i: the meridians x_a..x_b of the wires through
     the point, transported through the inverse of the accumulated prefix
-    braid.  The first point gets plain generators.
+    braid, the half-twists of points 1..i-1 in list order.  The first point
+    gets plain generators.
 
     This is the per-point reference: it rebuilds and applies the whole
     prefix braid, so it costs time quadratic in the number of points.
     ``presentation`` does not call it; it carries the images instead."""
-    braid = braid_inverse(prefix_braid(pl, i))
+    if not (1 <= i <= len(pl.pairs)):
+        raise ValueError(f"point index {i} out of range 1..{len(pl.pairs)}")
+    prefix = []
+    for (a, b) in pl.pairs[: i - 1]:
+        prefix.extend(halftwist(a, b, pl.ell))
+    braid = braid_inverse(prefix)
     a, b = pl.pairs[i - 1]
-    return [
-        _iota(artin_apply(braid, _iota((t,)), pl.ell)) for t in range(a, b + 1)
-    ]
+    # the Artin action under the mirror involution x_g -> x_g^-1
+    return [tuple(-c for c in artin_apply(braid, (-t,), pl.ell))
+            for t in range(a, b + 1)]
 
 
 def presentation(pl: PairList) -> Presentation:
@@ -191,9 +191,13 @@ def presentation(pl: PairList) -> Presentation:
         rels.append(CyclicRelation.make(words, pl.ell))
         if i == len(pl.pairs):
             break  # no point reads the table after the last one
-        twist = braid_inverse(halftwist(a, b, pl.ell))
-        images[a:b + 1] = [substitute(images, artin_apply(twist, (g,)))
-                           for g in range(a, b + 1)]
+        # the inverse half-twist on a..b: x_{a+b-h} -> T^-1 x_h T, with
+        # tail = T = x_{h+1} ... x_b read through the table
+        new, tail = [], ()
+        for h in range(b, a - 1, -1):
+            new.append(word_mul(word_inverse(tail), images[h], tail))
+            tail = word_mul(images[h], tail)
+        images[a:b + 1] = new
     return Presentation(pl.ell, tuple(rels), "affine")
 
 

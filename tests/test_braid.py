@@ -77,6 +77,36 @@ def test_halftwist_adjacent_pair_is_one_generator():
     assert halftwist(2, 3, ELL) == (2,)
 
 
+@pytest.mark.parametrize("a,b", [(0, 2), (3, 3), (4, 2), (2, ELL + 1)])
+def test_halftwist_rejects_out_of_range_intervals(a, b):
+    with pytest.raises(ValueError, match="need 1 <= a < b <= ell"):
+        halftwist(a, b, ELL)
+
+
+@pytest.mark.parametrize("braid", [(0,), (1, -ELL), (ELL,)])
+def test_artin_apply_rejects_out_of_range_strands(braid):
+    with pytest.raises(ValueError, match="strand index -?[05] out of range"):
+        artin_apply(braid, (1,), ELL)
+
+
+@pytest.mark.parametrize("ell", range(2, 10))
+def test_inverse_halftwist_has_a_closed_form(ell):
+    # vankampen.presentation applies each inverse half-twist in this form:
+    # x_g -> T^-1 x_h T with h = a+b-g and T = x_{h+1} ... x_b for g in
+    # a..b, every other generator fixed
+    for a in range(1, ell):
+        for b in range(a + 1, ell + 1):
+            twist = braid_inverse(halftwist(a, b, ell))
+            for g in range(1, ell + 1):
+                if a <= g <= b:
+                    h = a + b - g
+                    tail = tuple(range(h + 1, b + 1))
+                    expected = word_inverse(tail) + (h,) + tail
+                else:
+                    expected = (g,)
+                assert artin_apply(twist, (g,), ell) == expected, (a, b, g)
+
+
 @pytest.mark.parametrize("ell", range(2, 9))
 def test_braid_relations_act_identically(ell):
     gens = [(g,) for g in range(1, ell + 1)]

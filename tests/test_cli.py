@@ -107,6 +107,12 @@ def test_verdict_certified_writes_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Certified" in out
     assert cert.read_text().startswith("certificate-v1")
+    # without --certificate, the certificate goes next to --output
+    verdict = tmp_path / "triangle.verdict"
+    assert main(["verdict", "--input", tri_path(), "--output",
+                 str(verdict)]) == 0
+    assert "Certified" in verdict.read_text()
+    assert (tmp_path / "triangle.verdict.cert").read_text() == cert.read_text()
 
 
 # the triangle under (x, y) -> (x + y + 1, y + 2), its lines in wire order;
@@ -174,6 +180,13 @@ def test_verdict_ordering_search_cap_exits_one(tmp_path, capsys):
     assert main(["verdict", "--input", str(path), "--ordering", "all"]) == 1
     assert ("error: ordering search is capped at 8 lines"
             in capsys.readouterr().err)
+
+
+def test_verdict_rejects_a_malformed_ordering(capsys):
+    assert main(["verdict", "--input", tri_path(), "--ordering", "a b"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --ordering expects 'identity', 'all' or a permutation, "
+        "got 'a b'\n")
 
 
 @pytest.mark.parametrize("flags, reason", [

@@ -16,6 +16,7 @@ from arrgroup import (
     IntersectionPoint,
     Line,
     compute_lattice,
+    fixture_path,
     multiple_point_graph,
     parse_arrangement,
 )
@@ -65,6 +66,13 @@ def test_parse_rejects_bad_input():
     with pytest.raises(ArrangementError) as err:
         parse_arrangement("1 1 0\n2 2 0")
     assert err.value.code == "duplicate-line"
+
+
+def test_unknown_fixture_is_rejected():
+    with pytest.raises(ArrangementError,
+                       match="no fixture named 'nope'") as err:
+        fixture_path("nope")
+    assert err.value.code == "unknown-fixture"
 
 
 def test_line_normalization_and_slope():

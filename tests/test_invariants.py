@@ -93,6 +93,12 @@ def test_group_table_validation():
         FiniteGroupTable.make(((1, 0), (0, 1)))
     with pytest.raises(GroupTableError):
         FiniteGroupTable.make(((0, 1), (1, 2)))
+    with pytest.raises(GroupTableError, match="wrong number of names"):
+        FiniteGroupTable.make(((0, 1), (1, 0)), ("e",))
+    # identity and inverses hold, but (1*1)*2 = 2 while 1*(1*2) = 1
+    with pytest.raises(GroupTableError,
+                       match=r"associativity fails at \(1,1,2\)"):
+        FiniteGroupTable.make(((0, 1, 2), (1, 0, 0), (2, 0, 0)))
     s3 = builtin_group("S3")
     rows = [list(r) for r in s3.table]
     rows[3][4], rows[3][5] = rows[3][5], rows[3][4]

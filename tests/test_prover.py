@@ -100,6 +100,13 @@ def test_parse_certificate_rejects_garbage():
                                            f"\n{kind} {n + 1}\n"))
     with pytest.raises(ReplayError, match="bad-file: line 5: match expects"):
         parse_certificate(good.replace("match 1 1", "match 1"))
+    with pytest.raises(ReplayError,
+                       match="bad-file: step outside forward/backward"):
+        parse_certificate(good.replace("forward 2\n", ""))
+    for header in ("gens=3\n", "relations=2\n"):
+        with pytest.raises(ReplayError, match="bad-file: missing gens= or "
+                                              "relations= header"):
+            parse_certificate(good.replace(header, ""))
     with pytest.raises(ValueError,
                        match="^line 2: expected an integer, got 'x'$"):
         parse_certificate(good.replace("gens=3", "gens=x"))
@@ -156,6 +163,18 @@ def test_mismatched_shapes_are_unknown_not_errors():
     result = prove_equivalent(tri, pencil)
     assert result.status == "unknown"
     assert "counts differ" in result.reason
+    fewer = Presentation(3, two_gen_target().relations[:1])
+    result = prove_equivalent(two_gen_source(), fewer)
+    assert (result.status, result.reason) == ("unknown",
+                                              "relation counts differ")
+
+
+@pytest.mark.parametrize("field", ["max_word_len", "max_steps", "bfs_nodes",
+                                   "hom_nodes"])
+def test_budget_rejects_negative_fields(field):
+    with pytest.raises(ValueError,
+                       match=f"budget {field} must be non-negative"):
+        Budget(**{field: -1})
 
 
 def test_tiny_budget_gives_honest_unknown():

@@ -113,6 +113,23 @@ def test_first_point_relation_needs_no_transport():
     assert point_relation_words(pl, 1) == [(2,), (3,)]
 
 
+@pytest.mark.parametrize("i", [0, 10, -1])
+def test_point_relation_words_rejects_point_indices_out_of_range(i):
+    pl = pipeline("triangle").pairs  # 9 points
+    with pytest.raises(ValueError, match=f"point index {i} out of range 1..9"):
+        point_relation_words(pl, i)
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_presentation_rejects_generator_indices_out_of_range(letter):
+    # CyclicRelation's constructor stores words unchecked; make() reduces
+    # them first and rejects index 0 there
+    rel = CyclicRelation(((letter,), (1,)))
+    with pytest.raises(ValueError,
+                       match=f"generator index {letter} out of range 1..2"):
+        Presentation(2, (rel,))
+
+
 def test_cyclic_relation_requires_two_entries():
     with pytest.raises(ValueError):
         CyclicRelation.make(((1,),), 3)
@@ -268,6 +285,16 @@ def test_candidate_is_conjugation_free():
         assert is_conjugation_free(cand)
         assert len(cand.relations) == len(pipe.lattice.points)
         assert not is_conjugation_free(pipe.presentation)
+    # single positive letters, but not in ascending order
+    assert not is_conjugation_free(Presentation(
+        3, (CyclicRelation.make(((1,), (3,), (2,)), 3),)))
+
+
+def test_candidate_ordering_must_permute_the_lines():
+    lattice = pipeline("triangle").lattice
+    for ordering in ((1, 1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (2, 3, 4, 5, 6, 7)):
+        with pytest.raises(ValueError, match="permutation of the lines"):
+            candidate_cf(lattice, ordering)
 
 
 def test_candidate_bracket_sizes_follow_multiplicities():
@@ -328,3 +355,5 @@ def test_parse_presentation_rejects_malformed_text():
         parse_presentation("[ x1 ; x2 ]\n")
     with pytest.raises(ValueError):
         parse_presentation("gens=3\nx1 x2\n")
+    with pytest.raises(ValueError, match="^missing gens= header$"):
+        parse_presentation("kind=affine\n")

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from arrgroup import (
     FIXTURES,
+    IntersectionLattice,
+    IntersectionPoint,
     Line,
     Arrangement,
     WiringError,
@@ -23,7 +25,7 @@ from arrgroup import (
     wiring_svg,
 )
 from arrgroup.geometry import parallel_pairs
-from arrgroup.wiring import PairList, _shear_parameters
+from arrgroup.wiring import PairList, _shear_parameters, _sweep_pairs
 from conftest import (arrangements, fixture_arrangement, pipeline,
                       wide_arrangements)
 
@@ -107,6 +109,20 @@ def test_lefschetz_pairs_rejects_non_generic_input():
     assert err.value.code == "not-generic"
     with pytest.raises(WiringError):
         lefschetz_pairs(parse_arrangement("0 1 0\n0 1 1\n1 0 0"))
+    # y = x and y = -x meet at (0, 0), y = 2x + 1 and y = -2x + 1 at (0, 1)
+    with pytest.raises(WiringError, match="share an x-coordinate") as err:
+        lefschetz_pairs(parse_arrangement("-1 1 0\n1 1 0\n-2 1 1\n2 1 1"))
+    assert err.value.code == "not-generic"
+
+
+def test_sweep_rejects_a_point_whose_wires_are_not_adjacent():
+    # a lattice that is not the arrangement's: its one point joins the
+    # lines of least and greatest slope, with a wire between them
+    arr = parse_arrangement("-1 1 0\n-2 1 1\n-3 1 3")
+    point = IntersectionPoint(Fraction(1), Fraction(1), (1, 3), 2)
+    with pytest.raises(WiringError, match="not adjacent in the sweep") as err:
+        _sweep_pairs(arr, IntersectionLattice((point,), 3, 0))
+    assert err.value.code == "not-generic"
 
 
 def test_parallel_lines_raise_one_error_from_both_entry_points():
@@ -171,6 +187,9 @@ def test_parse_pairs_rejects_missing_header():
         parse_pairs("1 2\n2 3\n")
     with pytest.raises(WiringError):
         parse_pairs("ell=3\n1 2 3\n")
+    with pytest.raises(WiringError, match="missing ell= header") as err:
+        parse_pairs("# no records\n")
+    assert err.value.code == "bad-pairs-file"
 
 
 def test_svg_is_deterministic_and_well_formed():
