@@ -15,11 +15,8 @@ from arrgroup.geometry import (
     parse_arrangement,
 )
 from arrgroup.braid import (
-    artin_apply,
-    braid_inverse,
     format_word,
     free_reduce,
-    halftwist,
     parse_word,
     word_inverse,
     word_mul,
@@ -74,7 +71,6 @@ from arrgroup.invariants import (
     OrbitTable,
     abelianization,
     builtin_group,
-    format_group_table,
     hom_count,
     hom_count_scalar,
     orbit_table,
@@ -84,10 +80,7 @@ from arrgroup.invariants import (
 from arrgroup.grouptheory import (
     GroupDescriptor,
     StructureError,
-    descriptor_presentation,
-    direct_sum,
     fan_structure,
     oka_sakamoto_split,
     semidirect_fixture,
-    sub_arrangement,
 )

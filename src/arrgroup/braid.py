@@ -1,14 +1,15 @@
-"""Free-group words, braid words, half-twists, and the Artin action.
+"""Free-group words.
 
 Words in the free group on x_1..x_ell are tuples of signed integers: +i is
-x_i, -i is x_i^-1.  Braid words are tuples of signed integers over the
-elementary twists: +i is sigma_i, -i its inverse.  Everything is kept freely
-reduced; there are no normal forms beyond that, since the words that arise
-here are short conjugates of generators.
+x_i, -i is x_i^-1.  Everything is kept freely reduced; there are no normal
+forms beyond that, since the words that arise here are short conjugates of
+generators.
 
-The pipeline uses only the word functions.  The Artin section (the action,
-braid inverses and half-twists) serves ``vankampen.point_relation_words``,
-the per-point reference that ``presentation`` is tested against.
+The Artin action of braids on these words is not part of the program:
+``vankampen.presentation`` carries each point's meridians through the
+inverse half-twists by their closed form, a product of words.  The tests
+keep the action as the independent reference that closed form is checked
+against.
 """
 
 from __future__ import annotations
@@ -74,67 +75,3 @@ def parse_word(text):
             raise ValueError(f"cannot parse word token {tok!r}")
         letters.append(sign * int(digits))
     return free_reduce(letters)
-
-
-# ---------------------------------------------------------------------------
-# Artin action
-#
-# The convention is fixed once and for all:
-#   sigma_i   sends  x_i -> x_i x_{i+1} x_i^-1,   x_{i+1} -> x_i
-#   sigma_i^-1 sends x_i -> x_{i+1},              x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
-# and both fix every other generator.  Under this convention the ordered
-# product x_1 x_2 ... x_ell is fixed by every braid word.
-# ---------------------------------------------------------------------------
-
-def _letter_image(g, i, sign):
-    """Image of the signed word letter g under sigma_i^sign."""
-    a = abs(g)
-    if sign > 0:
-        if a == i:
-            img = (i, i + 1, -i)
-        elif a == i + 1:
-            img = (i,)
-        else:
-            return (g,)
-    else:
-        if a == i:
-            img = (i + 1,)
-        elif a == i + 1:
-            img = (-(i + 1), i, i + 1)
-        else:
-            return (g,)
-    return img if g > 0 else tuple(-c for c in reversed(img))
-
-
-def artin_apply(braid, w, ell=None):
-    """Apply a braid word to a free-group word, twist by twist.
-
-    The braid word acts as the composite of its letters, first letter first.
-    The result is freely reduced.
-    """
-    w = free_reduce(w, ell)
-    for t in braid:
-        i = abs(t)
-        if i == 0 or (ell is not None and i + 1 > ell):
-            raise ValueError(f"strand index {t} out of range")
-        sign = 1 if t > 0 else -1
-        w = word_mul(*[_letter_image(g, i, sign) for g in w])
-    return w
-
-
-def braid_inverse(braid):
-    return tuple(-t for t in reversed(braid))
-
-
-def halftwist(a, b, ell):
-    """The positive half-twist on the interval [a, b] as a braid word:
-    (sigma_a ... sigma_{b-1})(sigma_a ... sigma_{b-2}) ... (sigma_a).
-
-    Its length is C(b-a+1, 2).
-    """
-    if not (1 <= a < b <= ell):
-        raise ValueError(f"need 1 <= a < b <= ell, got a={a} b={b} ell={ell}")
-    word = []
-    for top in range(b - 1, a - 1, -1):
-        word.extend(range(a, top + 1))
-    return tuple(word)

@@ -3,16 +3,12 @@ direct-sum description when the multiple-point graph is acyclic, the
 Oka-Sakamoto transversality splitting, and hand-built semidirect-product
 presentations for the six-line arrangement whose multiple points form one
 triangle.
-
-Descriptors and split parts can be materialized as presentations so that
-homomorphism counts compare them against the sweep pipeline's output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from arrgroup.braid import substitute
 from arrgroup.geometry import (Arrangement, components, compute_lattice,
                                parallel_pairs)
 from arrgroup.vankampen import CyclicRelation, Presentation
@@ -62,41 +58,6 @@ def fan_structure(n: int, multiplicities, betti: int) -> GroupDescriptor:
     return GroupDescriptor(r, tuple(m - 1 for m in multiplicities))
 
 
-def descriptor_presentation(d: GroupDescriptor) -> Presentation:
-    """The obvious presentation of a descriptor: the direct sum of rank
-    copies of Z, then one free group per free factor."""
-    z = Presentation(1, (), "projective")
-    pres = direct_sum([z] * d.rank + [Presentation(m, (), "projective")
-                                      for m in d.free_factors])
-    # direct_sum of no parts is affine; the empty descriptor is projective
-    return Presentation(pres.ngens, pres.relations, "projective")
-
-
-def direct_sum(parts) -> Presentation:
-    """Presentation of the direct sum: generator blocks are concatenated and
-    generators from different parts commute."""
-    parts = list(parts)
-    offsets = []
-    total = 0
-    for p in parts:
-        offsets.append(total)
-        total += p.ngens
-    rels = []
-    for p, off in zip(parts, offsets):
-        images = [()] + [(g + off,) for g in range(1, p.ngens + 1)]
-        for rel in p.relations:
-            shifted = tuple(substitute(images, w) for w in rel.words)
-            rels.append(CyclicRelation.make(shifted, total))
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for g in range(offsets[i] + 1, offsets[i] + parts[i].ngens + 1):
-                for h in range(offsets[j] + 1,
-                               offsets[j] + parts[j].ngens + 1):
-                    rels.append(CyclicRelation.make(((g,), (h,)), total))
-    kind = parts[0].kind if parts else "affine"
-    return Presentation(total, tuple(rels), kind)
-
-
 # ---------------------------------------------------------------------------
 # transversality splitting
 # ---------------------------------------------------------------------------
@@ -112,15 +73,6 @@ def oka_sakamoto_split(arr: Arrangement):
               if pt.multiplicity >= 3 for other in pt.incident[1:]]
     return tuple(components(range(1, len(arr) + 1),
                             parallel_pairs(lat) + shared))
-
-
-def sub_arrangement(arr: Arrangement, labels) -> Arrangement:
-    """The arrangement of the listed lines (1-based labels), in label
-    order."""
-    for i in labels:
-        if not 1 <= i <= len(arr):
-            raise ValueError(f"line label {i} out of range 1..{len(arr)}")
-    return Arrangement(tuple(arr.lines[i - 1] for i in labels))
 
 
 # ---------------------------------------------------------------------------

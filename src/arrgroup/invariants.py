@@ -216,12 +216,6 @@ def _builtin_table(name):
     return _perm_group(gens, len(gens[0]))
 
 
-def format_group_table(g: FiniteGroupTable) -> str:
-    lines = [f"order={g.order}", "names=" + " ".join(g.names)]
-    lines.extend(" ".join(str(v) for v in row) for row in g.table)
-    return "\n".join(lines) + "\n"
-
-
 def parse_group_table(text: str) -> FiniteGroupTable:
     order = None
     names = None

@@ -679,7 +679,7 @@ def replay(source: Presentation, target: Presentation,
     if len(target.relations) != nrels or cert.nrels != nrels:
         raise ReplayError("rels-mismatch", "relation counts differ")
     match = dict(cert.match)
-    if (sorted(match) != list(range(nrels))
+    if (len(cert.match) != nrels or sorted(match) != list(range(nrels))
             or sorted(match.values()) != list(range(nrels))):
         raise ReplayError("bad-matching", "match is not a bijection")
 

@@ -6,25 +6,22 @@ the k-1 equalities obtained by cyclically sliding the descending product:
     wk w_{k-1} ... w1  =  w1 wk ... w3 w2  =  ...
 
 The relation words for point i come from transporting the meridians of the
-wires through the point back to the far right side of the diagram: apply the
-inverse of the braid accumulated over points 1..i-1 (under the mirror
-involution x_g -> x_g^-1, which converts the Artin convention of
-``arrgroup.braid`` into the one the sweep direction requires), then shorten
-the resulting word tuple by greedy simultaneous conjugation.  The shortening
-is sound: a simultaneous conjugation of all bracket entries re-chooses the
-point where the monodromy loop is split, which does not change the relation.
+wires through the point back to the far right side of the diagram, through
+the inverse half-twists of points 1..i-1, then shortening the resulting
+word tuple by greedy simultaneous conjugation.  The shortening is sound: a
+simultaneous conjugation of all bracket entries re-chooses the point where
+the monodromy loop is split, which does not change the relation.
 
-``presentation`` does the transport with a running table: images[g] is the
-image of x_g under the inverse braid of the points swept so far.  Point i
-reads its words off the table, then the table takes the inverse half-twist
-of point i on a..b.  That twist has a closed form: for h in a..b it sends
-x_{a+b-h} to T^-1 x_h T, with T = x_{h+1} ... x_b, and it fixes every other
-generator.  Walking h down from b keeps T as a running product of table
-entries, so each point costs a few word products and the sweep is linear in
-the number of points.  Since reduced words are unique, the words equal
-those of ``point_relation_words``, the per-point reference, which builds the
-whole prefix braid and applies it with the Artin action of
-``arrgroup.braid``.
+The transport is one walk over the points with a running table: images[g]
+is the image of x_g under the inverse half-twists of the points swept so
+far.  Point i reads its words off the table, then the table takes the
+inverse half-twist of point i on a..b.  That twist has a closed form: for h
+in a..b it sends x_{a+b-h} to T^-1 x_h T, with T = x_{h+1} ... x_b, and it
+fixes every other generator.  Walking h down from b keeps T as a running
+product of table entries, so each point costs a few word products and the
+sweep is linear in the number of points.  The Artin action of braids on
+words is not part of the program; the tests keep it as the independent
+reference this walk is checked against.
 """
 
 from __future__ import annotations
@@ -32,18 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
-from arrgroup.braid import (
-    artin_apply,
-    braid_inverse,
-    format_word,
-    free_reduce,
-    halftwist,
-    parse_word,
-    substitute,
-    word_inverse,
-    word_mul,
-)
+from arrgroup.braid import (format_word, free_reduce, parse_word,
+                            substitute, word_inverse, word_mul)
 from arrgroup.geometry import (Arrangement, IntersectionLattice,
                                IntersectionPoint, integer, records)
 from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
@@ -158,39 +147,18 @@ class Presentation:
                                          f"1..{self.ngens}")
 
 
-def point_relation_words(pl: PairList, i: int):
-    """Relation words of point i: the meridians x_a..x_b of the wires through
-    the point, transported through the inverse of the accumulated prefix
-    braid, the half-twists of points 1..i-1 in list order.  The first point
-    gets plain generators.
-
-    This is the per-point reference: it rebuilds and applies the whole
-    prefix braid, so it costs time quadratic in the number of points.
-    ``presentation`` does not call it; it carries the images instead."""
-    if not (1 <= i <= len(pl.pairs)):
-        raise ValueError(f"point index {i} out of range 1..{len(pl.pairs)}")
-    prefix = []
-    for (a, b) in pl.pairs[: i - 1]:
-        prefix.extend(halftwist(a, b, pl.ell))
-    braid = braid_inverse(prefix)
-    a, b = pl.pairs[i - 1]
-    # the Artin action under the mirror involution x_g -> x_g^-1
-    return [tuple(-c for c in artin_apply(braid, (-t,), pl.ell))
-            for t in range(a, b + 1)]
-
-
-def presentation(pl: PairList) -> Presentation:
-    """The affine presentation: ngens = number of wires, one bracket per
-    point."""
-    validate_pairs(pl)
-    # images[g]: x_g under the inverse braid of the points swept so far
+def _point_words(pl: PairList):
+    """Yield each point's raw relation words in list order: the meridians
+    x_a..x_b of the wires through the point, carried through the inverse
+    half-twists of the points before it.  The first point gets plain
+    generators."""
+    # images[g]: x_g under the inverse half-twists of the points swept so far
     images = [()] + [(g,) for g in range(1, pl.ell + 1)]
-    rels = []
+    last = len(pl.pairs)
     for i, (a, b) in enumerate(pl.pairs, 1):
-        words = [tuple(reversed(images[t])) for t in range(a, b + 1)]
-        rels.append(CyclicRelation.make(words, pl.ell))
-        if i == len(pl.pairs):
-            break  # no point reads the table after the last one
+        yield [tuple(reversed(images[t])) for t in range(a, b + 1)]
+        if i == last:
+            return  # no point reads the table after the last one
         # the inverse half-twist on a..b: x_{a+b-h} -> T^-1 x_h T, with
         # tail = T = x_{h+1} ... x_b read through the table
         new, tail = [], ()
@@ -198,7 +166,25 @@ def presentation(pl: PairList) -> Presentation:
             new.append(word_mul(word_inverse(tail), images[h], tail))
             tail = word_mul(images[h], tail)
         images[a:b + 1] = new
-    return Presentation(pl.ell, tuple(rels), "affine")
+
+
+def point_relation_words(pl: PairList, i: int):
+    """Relation words of point i (1-based), before shortening: item i of the
+    walk ``presentation`` makes its brackets from.  Each call walks points
+    1..i, so reading every point this way takes time quadratic in their
+    number."""
+    if not (1 <= i <= len(pl.pairs)):
+        raise ValueError(f"point index {i} out of range 1..{len(pl.pairs)}")
+    return next(islice(_point_words(pl), i - 1, None))
+
+
+def presentation(pl: PairList) -> Presentation:
+    """The affine presentation: ngens = number of wires, one bracket per
+    point."""
+    validate_pairs(pl)
+    return Presentation(pl.ell, tuple(CyclicRelation.make(words, pl.ell)
+                                      for words in _point_words(pl)),
+                        "affine")
 
 
 @dataclass(frozen=True)
@@ -246,6 +232,9 @@ def projectivize(p: Presentation) -> Presentation:
     """
     if p.kind != "affine":
         raise ValueError("presentation is already projective")
+    if p.ngens == 0:
+        raise ValueError("a presentation with no generators has no far-side "
+                         "relation to impose")
     n = p.ngens
     # x_n -> (x_{n-1} ... x_1)^-1; every other generator is fixed
     images = [()] + [(g,) for g in range(1, n)]

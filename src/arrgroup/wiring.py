@@ -163,10 +163,14 @@ def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
 
 
 def validate_pairs(pl: PairList, complete=True):
-    """Check a pair list: every pair has 1 <= a < b <= ell, and (when
-    claiming to cover a full no-parallels arrangement) the multiplicities
-    account for every pair of wires: sum C(b-a+1, 2) = C(ell, 2).
+    """Check a pair list: ell >= 1, every pair has 1 <= a < b <= ell, and
+    (when claiming to cover a full no-parallels arrangement) the
+    multiplicities account for every pair of wires: sum C(b-a+1, 2) =
+    C(ell, 2).
     """
+    if pl.ell < 1:
+        raise WiringError("ell-out-of-range",
+                          f"ell={pl.ell}, expected at least one wire")
     total = 0
     for (a, b) in pl.pairs:
         if not (1 <= a < b <= pl.ell):

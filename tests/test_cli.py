@@ -216,7 +216,8 @@ def test_homcount_builtin_and_file_groups(tmp_path, capsys):
     pres = triangle_presentation_file(tmp_path, capsys)
     assert main(["homcount", "--input", pres, "--group", "S3"]) == 0
     assert "count=972" in capsys.readouterr().out
-    from arrgroup import builtin_group, format_group_table
+    from arrgroup import builtin_group
+    from reference import format_group_table
 
     table = tmp_path / "s3.table"
     table.write_text(format_group_table(builtin_group("S3")))
@@ -290,6 +291,18 @@ def test_replay_rejects_out_of_range_steps(step, tmp_path, capsys):
                "--target", str(pres)])
     assert rc == 1
     assert "error: bad-index" in capsys.readouterr().err
+
+
+def test_replay_rejects_a_repeated_match_line(tmp_path, capsys):
+    pres = tmp_path / "one.pres"
+    pres.write_text("gens=2\n[ x1 ; x2 ]\n")
+    cert = tmp_path / "twice.cert"
+    cert.write_text("certificate-v1\ngens=2\nrelations=1\nmatch 0 0\n"
+                    "match 0 0\nforward 0\nbackward 0\nend\n")
+    rc = main(["replay", "--input", str(cert), "--source", str(pres),
+               "--target", str(pres)])
+    assert rc == 1
+    assert "error: bad-matching" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [
@@ -368,6 +381,17 @@ def test_malformed_numbers_are_errors_naming_the_line(command, name, text,
     path.write_text(text)
     assert main([command, "--input", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ell", ["-2", "0"])
+@pytest.mark.parametrize("argv", [["present"], ["present", "--projective"],
+                                  ["svg"]])
+def test_pairs_files_need_a_wire(ell, argv, tmp_path, capsys):
+    path = tmp_path / "none.pairs"
+    path.write_text(f"ell={ell}\n")
+    assert main([*argv, "--input", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: ell={ell}, expected at least one wire\n")
 
 
 def exit_code(argv):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arrgroup import (builtin_group, candidate_cf, cf_verdict,
-                      format_certificate, format_group_table, format_pairs,
+                      format_certificate, format_pairs,
                       format_presentation, format_presentation_json)
 from arrgroup.cli import main
 from conftest import fixture_text, pipeline
+from reference import format_group_table
 
 BUDGET = ["--max-steps", "60", "--max-word-len", "12", "--budget-nodes", "50"]
 

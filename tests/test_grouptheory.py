@@ -8,8 +8,6 @@ from arrgroup import (
     StructureError,
     abelianization,
     builtin_group,
-    descriptor_presentation,
-    direct_sum,
     fan_structure,
     hom_count,
     lefschetz_pairs,
@@ -20,9 +18,9 @@ from arrgroup import (
     presentation,
     projectivize,
     semidirect_fixture,
-    sub_arrangement,
 )
 from conftest import fixture_arrangement, pipeline
+from reference import descriptor_presentation, direct_sum, sub_arrangement
 
 
 def test_fan_structure_known_cases():

@@ -18,7 +18,6 @@ from arrgroup import (
     abelianization,
     builtin_group,
     compute_lattice,
-    format_group_table,
     hom_count,
     hom_count_scalar,
     orbit_table,
@@ -27,6 +26,7 @@ from arrgroup import (
     sweep,
 )
 from conftest import pipeline
+from reference import format_group_table
 
 
 def test_smith_diagonal_known_matrices():

@@ -149,6 +149,15 @@ def test_replay_rejects_tampered_certificates():
     rejects("not-a-pair", comm, triple, triple)
 
 
+def test_replay_rejects_a_repeated_match_line():
+    one = Presentation(2, (CyclicRelation.make(((1,), (2,)), 2),))
+    twice = Certificate(2, 1, ((0, 0), (0, 0)), (), ())
+    with pytest.raises(ReplayError) as err:
+        replay(one, one, twice)
+    assert err.value.code == "bad-matching"
+    replay(one, one, replace(twice, match=((0, 0),)))
+
+
 def test_replay_connects_the_stated_pair_only():
     tri = pipeline("triangle").presentation
     cert = prove_equivalent(tri, tri).certificate

@@ -33,7 +33,8 @@ from arrgroup.vankampen import (conjugate_all, conjugate_letter,
                                 greedy_shorten, rotation_products)
 from arrgroup.wiring import PairList
 from conftest import canonical_form, fixture_arrangement, pipeline
-from test_golden import WIDE_PAIRS, _through
+from reference import artin_relation_words
+from test_golden import WIDE_PAIRS, _through, generic_10, generic_12, k_pencil
 
 
 def conj(c, core):
@@ -205,10 +206,15 @@ def test_conjugate_letter_matches_conjugate_all(words, g):
                                                                 (letter,))
 
 
-def reference_relations(pl):
-    """One bracket per point from the per-point transport."""
-    return tuple(CyclicRelation.make(point_relation_words(pl, i), pl.ell)
-                 for i in range(1, len(pl.pairs) + 1))
+def assert_matches_the_artin_action(pl, pres):
+    """Every point's raw words, before any shortening and as lists of
+    tuples, and the presentation's brackets equal those of the Artin
+    action's per-point transport."""
+    points = range(1, len(pl.pairs) + 1)
+    raw = [artin_relation_words(pl, i) for i in points]
+    assert [point_relation_words(pl, i) for i in points] == raw
+    assert pres.relations == tuple(CyclicRelation.make(words, pl.ell)
+                                   for words in raw)
 
 
 def seeded_lines(family, n, seed):
@@ -242,20 +248,28 @@ HAND_PAIRS = {
 @pytest.mark.parametrize("name", FIXTURES)
 def test_presentation_matches_per_point_reference_on_fixtures(name):
     pipe = pipeline(name)
-    assert pipe.presentation.relations == reference_relations(pipe.pairs)
+    assert_matches_the_artin_action(pipe.pairs, pipe.presentation)
 
 
 @pytest.mark.parametrize("family", ["k-pencil", "generic", "pencil"])
 @pytest.mark.parametrize("n, seed", [(5, 1), (8, 2), (12, 3), (16, 4)])
 def test_presentation_matches_per_point_reference_on_seeded(family, n, seed):
     pl = sweep(parse_arrangement(seeded_lines(family, n, seed))).pairs
-    assert presentation(pl).relations == reference_relations(pl)
+    assert_matches_the_artin_action(pl, presentation(pl))
+
+
+@pytest.mark.parametrize("text", [k_pencil(8), k_pencil(12), k_pencil(16),
+                                  generic_10(), generic_12()],
+                         ids=["kp8", "kp12", "kp16", "generic10", "generic12"])
+def test_presentation_matches_per_point_reference_on_ladders(text):
+    pl = sweep(parse_arrangement(text)).pairs
+    assert_matches_the_artin_action(pl, presentation(pl))
 
 
 @pytest.mark.parametrize("name", sorted(HAND_PAIRS))
 def test_presentation_matches_per_point_reference_on_wide_pairs(name):
     pl = HAND_PAIRS[name]
-    assert presentation(pl).relations == reference_relations(pl)
+    assert_matches_the_artin_action(pl, presentation(pl))
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("needs-a-shear",))
@@ -319,6 +333,15 @@ def test_projectivize_two_lines_gives_the_integers():
     proj = projectivize(pres)
     assert proj.ngens == 1
     assert proj.relations == ()
+
+
+def test_projectivize_needs_a_generator():
+    # one line's affine group is Z, its projective group trivial
+    assert projectivize(presentation(PairList(1, ()))) == Presentation(
+        0, (), "projective")
+    with pytest.raises(ValueError, match="^a presentation with no generators "
+                                         "has no far-side relation"):
+        projectivize(Presentation(0, ()))
 
 
 def presentation_from_lines(text):

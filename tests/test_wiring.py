@@ -151,6 +151,12 @@ def test_validate_pairs_rejects_bad_lists():
         validate_pairs(PairList(3, ((1, 2),)))
     assert err.value.code == "pair-count-mismatch"
     validate_pairs(PairList(3, ((1, 2),)), complete=False)
+    for ell in (0, -2):
+        for check in (validate_pairs, wiring_svg):
+            with pytest.raises(WiringError, match=f"^ell={ell}, expected "
+                                                  "at least one wire$") as err:
+                check(PairList(ell, ()))
+            assert err.value.code == "ell-out-of-range"
 
 
 @pytest.mark.parametrize("name", FIXTURES)
