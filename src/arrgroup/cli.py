@@ -26,8 +26,7 @@ from arrgroup.vankampen import (candidate_cf, format_presentation,
                                 format_presentation_json, parse_presentation,
                                 parse_presentation_json, presentation,
                                 projectivize, relabel_presentation, sweep)
-from arrgroup.wiring import (format_pairs, parse_pairs, validate_pairs,
-                             wiring_svg)
+from arrgroup.wiring import format_pairs, parse_pairs, wiring_svg
 
 _PRESENTATION_FIXTURES = ("semidirect-ceva", "semidirect-triangle")
 
@@ -59,9 +58,7 @@ def _load_pairs(path: str):
     """A pairs file, or an arrangement swept into one."""
     text = _read(path)
     if _effective_first_line(text).startswith("ell="):
-        pl = parse_pairs(text)
-        validate_pairs(pl)
-        return pl
+        return parse_pairs(text)
     return sweep(parse_arrangement(text)).pairs
 
 
@@ -78,8 +75,10 @@ def _load_group(name_or_path: str):
     return parse_group_table(_read(name_or_path))
 
 
-def _parse_ordering(value: str, allow_modes: bool):
-    if allow_modes and value in ("identity", "all"):
+def _parse_ordering(value: str):
+    """--ordering's value: the mode 'identity' or 'all', or a permutation
+    of the lines as a tuple."""
+    if value in ("identity", "all"):
         return value
     try:
         return tuple(int(t) for t in value.replace(",", " ").split())
@@ -155,10 +154,13 @@ def _cmd_candidate(args) -> int:
     # the sweep's lattice, in the point order and wire numbering verdict's
     # certificates use; with an ordering, the certificate target
     lat = sweep(parse_arrangement(_read(args.input))).lattice
-    if args.ordering is None:
+    ordering = _parse_ordering(args.ordering)
+    if ordering == "all":
+        raise ProverError("candidate --ordering expects 'identity' or a "
+                          "permutation, got 'all'")
+    if ordering == "identity":
         pres = candidate_cf(lat)
     else:
-        ordering = _parse_ordering(args.ordering, allow_modes=False)
         pres = relabel_presentation(candidate_cf(lat, ordering), ordering)
     text = (format_presentation_json(pres) if args.json
             else format_presentation(pres))
@@ -194,7 +196,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_verdict(args) -> int:
     swept = sweep(parse_arrangement(_read(args.input)))
-    orderings = _parse_ordering(args.ordering, allow_modes=True)
+    orderings = _parse_ordering(args.ordering)
     verdict = cf_verdict(swept.lattice, swept.presentation, orderings,
                          _budget(args))
     _write(args.output, format_verdict(verdict))
@@ -344,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("candidate", help="lattice-determined "
                                           "conjugation-free candidate")
     _add_io(s)
-    s.add_argument("--ordering", default=None,
-                   help="line permutation, e.g. '2 1 3'")
+    s.add_argument("--ordering", default="identity",
+                   help="'identity', or one line permutation, e.g. '2 1 3'")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=_cmd_candidate)
 

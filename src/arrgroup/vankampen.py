@@ -34,7 +34,8 @@ from itertools import islice
 from arrgroup.braid import (format_word, free_reduce, parse_word,
                             substitute, word_inverse, word_mul)
 from arrgroup.geometry import (Arrangement, IntersectionLattice,
-                               IntersectionPoint, integer, records)
+                               IntersectionPoint, integer, records,
+                               sort_points)
 from arrgroup.wiring import (PairList, Transform, _genericize, _sweep_pairs,
                              validate_pairs)
 
@@ -208,20 +209,22 @@ class Sweep:
 
 def sweep(arr: Arrangement) -> Sweep:
     """Shear an arrangement to generic position and sweep it.  The lattice
-    is computed once, on the input, carried along by the shear and
-    renumbered by wire (ascending slope of the sheared lines)."""
+    is computed once, on the input, and this is the one place that makes
+    the swept lattice of it: each point's lines renumbered by wire
+    (ascending slope of the sheared lines), its coordinates sheared, and
+    the points sorted in the sheared (x, y) order."""
     sheared, transform, lattice = _genericize(arr)
     lines = tuple(sorted(range(1, len(arr) + 1),
                          key=lambda i: sheared.lines[i - 1].slope))
     wire = {line: w for w, line in enumerate(lines, 1)}
-    points = tuple(IntersectionPoint(pt.x, pt.y, tuple(sorted(
-        wire[i] for i in pt.incident)), pt.multiplicity)
-        for pt in lattice.points)
-    lattice = transform.apply_lattice(
-        IntersectionLattice(points, lattice.n, lattice.p))
+    t = transform.t
+    lattice = IntersectionLattice(sort_points(IntersectionPoint(
+        pt.x + t * pt.y, pt.y, tuple(sorted(wire[i] for i in pt.incident)),
+        pt.multiplicity) for pt in lattice.points), lattice.n, lattice.p)
     generic = Arrangement(tuple(sheared.lines[i - 1] for i in lines))
-    return Sweep(generic, transform, lattice, _sweep_pairs(generic, lattice),
-                 lines)
+    # numbered by wire, the lines lie in the order 1..n at x = +infinity
+    return Sweep(generic, transform, lattice,
+                 _sweep_pairs(lattice, range(1, len(arr) + 1)), lines)
 
 
 def projectivize(p: Presentation) -> Presentation:

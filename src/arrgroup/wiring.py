@@ -5,6 +5,9 @@ y = m*x + b means ascending slope.  The sweep passes over the intersection
 points from right to left; at each point the wires through it occupy a
 contiguous interval [a, b] of current positions (the Lefschetz pair of the
 point), and the interval reverses when the sweep crosses it.
+
+The genericizing shear moves lines only: vankampen.sweep carries the
+input's lattice to the sheared one, and _sweep_pairs is the walk.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
 
-from arrgroup.geometry import (Arrangement, IntersectionLattice,
-                               IntersectionPoint, Line, compute_lattice,
-                               homogeneous, integer, parallel_pairs, records,
-                               sort_points)
+from arrgroup.geometry import (Arrangement, IntersectionLattice, Line,
+                               compute_lattice, homogeneous, integer,
+                               parallel_pairs, records)
 
 
 class WiringError(ValueError):
@@ -38,20 +40,9 @@ class Transform:
 
     t: Fraction
 
-    def apply_point(self, x, y):
-        return (x + self.t * y, y)
-
     def apply_line(self, line: Line) -> Line:
         # a(x - t*y') ... substituting x = x' - t*y' into a*x + b*y = c
         return Line.make(line.a, line.b - line.a * self.t, line.c)
-
-    def apply_lattice(self, lat: IntersectionLattice) -> IntersectionLattice:
-        """The lattice of the sheared arrangement: the same incidences at
-        the sheared points, in compute_lattice's (x, y) order."""
-        points = sort_points(
-            IntersectionPoint(*self.apply_point(pt.x, pt.y), pt.incident,
-                              pt.multiplicity) for pt in lat.points)
-        return IntersectionLattice(points, lat.n, lat.p)
 
     @property
     def is_identity(self):
@@ -137,17 +128,16 @@ def lefschetz_pairs(arr: Arrangement) -> PairList:
     # the points are in (x, y) order, so a shared x is shared by neighbours
     if any(p.x == q.x for p, q in zip(lat.points, lat.points[1:])):
         raise WiringError("not-generic", "two intersection points share an x-coordinate")
-    return _sweep_pairs(arr, lat)
-
-
-def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
-    """The sweep itself, for a generic arrangement and its lattice, whose
-    points have distinct x: the sweep meets them in reverse (x, y) order."""
-    ell = len(arr)
-    slopes = [line.slope for line in arr]
     # wire w holds the line with the w-th smallest slope (1-based)
-    by_slope = sorted(range(1, ell + 1), key=lambda i: slopes[i - 1])
-    order = list(by_slope)  # order[pos-1] = line index at height pos
+    return _sweep_pairs(lat, sorted(range(1, len(arr) + 1),
+                                    key=lambda i: arr.lines[i - 1].slope))
+
+
+def _sweep_pairs(lat: IntersectionLattice, order) -> PairList:
+    """The sweep itself, for a lattice whose points have distinct x and
+    the order of its lines bottom to top at x = +infinity: the sweep meets
+    the points in reverse (x, y) order."""
+    order = list(order)  # order[pos-1] = line index at height pos
     pairs = []
     for pt in reversed(lat.points):
         positions = sorted(order.index(i) + 1 for i in pt.incident)
@@ -159,14 +149,13 @@ def _sweep_pairs(arr: Arrangement, lat: IntersectionLattice) -> PairList:
             )
         pairs.append((a, b))
         order[a - 1: b] = order[a - 1: b][::-1]
-    return PairList(ell, tuple(pairs))
+    return PairList(len(order), tuple(pairs))
 
 
-def validate_pairs(pl: PairList, complete=True):
+def validate_pairs(pl: PairList):
     """Check a pair list: ell >= 1, every pair has 1 <= a < b <= ell, and
-    (when claiming to cover a full no-parallels arrangement) the
-    multiplicities account for every pair of wires: sum C(b-a+1, 2) =
-    C(ell, 2).
+    the multiplicities account for every pair of wires, as the sweep of an
+    arrangement without parallels does: sum C(b-a+1, 2) = C(ell, 2).
     """
     if pl.ell < 1:
         raise WiringError("ell-out-of-range",
@@ -176,7 +165,7 @@ def validate_pairs(pl: PairList, complete=True):
         if not (1 <= a < b <= pl.ell):
             raise WiringError("pair-out-of-range", f"pair [{a},{b}] with ell={pl.ell}")
         total += comb(b - a + 1, 2)
-    if complete and total != comb(pl.ell, 2):
+    if total != comb(pl.ell, 2):
         raise WiringError(
             "pair-count-mismatch",
             f"pairs cover {total} crossings, expected C({pl.ell},2) = {comb(pl.ell, 2)}",
@@ -237,8 +226,9 @@ def wiring_svg(pl: PairList) -> str:
     The sweep runs right-to-left, so point 1 is the rightmost station.  Wires
     are polylines through integer coordinates; stations carry their pair
     label.  Rendering is for human eyes; only determinism is contracted.
+    The pair list must pass validate_pairs, as presentation's must.
     """
-    validate_pairs(pl, complete=False)
+    validate_pairs(pl)
     n = len(pl.pairs)
     snapshots = simulate_sweep(pl)
     width = 2 * _MARGIN + (n + 1) * _STATION_DX

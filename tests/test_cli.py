@@ -189,6 +189,19 @@ def test_verdict_rejects_a_malformed_ordering(capsys):
         "got 'a b'\n")
 
 
+def test_candidate_ordering_identity_is_the_plain_candidate(capsys):
+    assert main(["candidate", "--input", tri_path()]) == 0
+    plain = capsys.readouterr().out
+    assert main(["candidate", "--input", tri_path(),
+                 "--ordering", "identity"]) == 0
+    assert capsys.readouterr().out == plain
+    # the search over orderings is verdict's; candidate names what it takes
+    assert main(["candidate", "--input", tri_path(), "--ordering", "all"]) == 1
+    assert capsys.readouterr().err == (
+        "error: candidate --ordering expects 'identity' or a permutation, "
+        "got 'all'\n")
+
+
 @pytest.mark.parametrize("flags, reason", [
     (["--max-word-len", "2"], "word length budget exhausted"),
     (["--max-steps", "0"], "step budget exhausted"),
@@ -392,6 +405,16 @@ def test_pairs_files_need_a_wire(ell, argv, tmp_path, capsys):
     assert main([*argv, "--input", str(path)]) == 1
     assert (capsys.readouterr().err
             == f"error: ell={ell}, expected at least one wire\n")
+
+
+@pytest.mark.parametrize("argv", [["present"], ["present", "--projective"],
+                                  ["svg"]])
+def test_pairs_files_must_cover_every_crossing(argv, tmp_path, capsys):
+    path = tmp_path / "partial.pairs"
+    path.write_text("ell=3\n1 2\n")
+    assert main([*argv, "--input", str(path)]) == 1
+    assert (capsys.readouterr().err
+            == "error: pairs cover 1 crossings, expected C(3,2) = 3\n")
 
 
 def exit_code(argv):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrgroup import (
@@ -18,6 +18,7 @@ from arrgroup import (
     format_presentation_json,
     free_reduce,
     is_conjugation_free,
+    lefschetz_pairs,
     parse_arrangement,
     parse_presentation,
     parse_presentation_json,
@@ -29,10 +30,12 @@ from arrgroup import (
     word_inverse,
     word_mul,
 )
+from arrgroup.geometry import parallel_pairs
 from arrgroup.vankampen import (conjugate_all, conjugate_letter,
                                 greedy_shorten, rotation_products)
 from arrgroup.wiring import PairList
-from conftest import canonical_form, fixture_arrangement, pipeline
+from conftest import (arrangements, canonical_form, fixture_arrangement,
+                      pipeline, wide_arrangements)
 from reference import artin_relation_words
 from test_golden import WIDE_PAIRS, _through, generic_10, generic_12, k_pencil
 
@@ -290,6 +293,18 @@ def test_sweep_numbers_the_lines_by_wire(name):
     assert sweep(arr).pairs == swept.pairs
     if name in FIXTURES:  # every fixture lists its lines in wire order
         assert sweep(arr).lines == tuple(range(1, len(arr) + 1))
+
+
+@settings(max_examples=25)
+@given(st.one_of(arrangements(), wide_arrangements()), st.randoms())
+def test_sweep_lattice_and_pairs_match_the_generic_arrangement(arr, rng):
+    # sweep builds its lattice from the input's, renumbered, sheared and
+    # sorted, and walks it in wire order; lefschetz_pairs recomputes the
+    # lattice and walks it in slope order: both must agree
+    assume(not parallel_pairs(compute_lattice(arr)))
+    swept = sweep(Arrangement(tuple(rng.sample(arr.lines, len(arr)))))
+    assert swept.lattice == compute_lattice(swept.generic)
+    assert lefschetz_pairs(swept.generic) == swept.pairs
 
 
 def test_candidate_is_conjugation_free():

@@ -21,6 +21,7 @@ from arrgroup import (
     parse_arrangement,
     parse_pairs,
     simulate_sweep,
+    sweep,
     validate_pairs,
     wiring_svg,
 )
@@ -80,14 +81,21 @@ def test_shear_carries_lattice_points_onto_sheared_lattice():
     sheared = [parse_arrangement(text) for text in SHEARED]
     assert not any(genericize(arr)[1].is_identity for arr in sheared)
     for arr in [fixture_arrangement(name) for name in FIXTURES] + sheared:
-        generic, transform = genericize(arr)
-        assert transform.t == reference_shear(arr)
+        swept = sweep(arr)
+        t = swept.transform.t
+        assert t == reference_shear(arr)
         before = compute_lattice(arr)
-        after = compute_lattice(generic)
-        assert {transform.apply_point(pt.x, pt.y): pt.incident
+        after = compute_lattice(genericize(arr)[0])
+        assert {(pt.x + t * pt.y, pt.y): pt.incident
                 for pt in before.points} == {
             (pt.x, pt.y): pt.incident for pt in after.points}
-        assert transform.apply_lattice(before) == after
+        # the swept lattice, its wires named by input line again, is the
+        # sheared arrangement's lattice, points in the same order
+        assert [(pt.x, pt.y, tuple(sorted(swept.lines[w - 1]
+                                          for w in pt.incident)),
+                 pt.multiplicity) for pt in swept.lattice.points] == [
+            (pt.x, pt.y, pt.incident, pt.multiplicity) for pt in after.points]
+        assert (swept.lattice.n, swept.lattice.p) == (after.n, after.p)
 
 
 @given(st.one_of(arrangements(), wide_arrangements()))
@@ -116,12 +124,11 @@ def test_lefschetz_pairs_rejects_non_generic_input():
 
 
 def test_sweep_rejects_a_point_whose_wires_are_not_adjacent():
-    # a lattice that is not the arrangement's: its one point joins the
-    # lines of least and greatest slope, with a wire between them
-    arr = parse_arrangement("-1 1 0\n-2 1 1\n-3 1 3")
+    # a lattice whose one point joins the bottom and top lines at
+    # x = +infinity, with a wire between them
     point = IntersectionPoint(Fraction(1), Fraction(1), (1, 3), 2)
     with pytest.raises(WiringError, match="not adjacent in the sweep") as err:
-        _sweep_pairs(arr, IntersectionLattice((point,), 3, 0))
+        _sweep_pairs(IntersectionLattice((point,), 3, 0), (1, 2, 3))
     assert err.value.code == "not-generic"
 
 
@@ -147,10 +154,10 @@ def test_validate_pairs_rejects_bad_lists():
     with pytest.raises(WiringError) as err:
         validate_pairs(PairList(3, ((1, 4),)))
     assert err.value.code == "pair-out-of-range"
-    with pytest.raises(WiringError) as err:
-        validate_pairs(PairList(3, ((1, 2),)))
-    assert err.value.code == "pair-count-mismatch"
-    validate_pairs(PairList(3, ((1, 2),)), complete=False)
+    for check in (validate_pairs, wiring_svg):
+        with pytest.raises(WiringError) as err:
+            check(PairList(3, ((1, 2),)))
+        assert err.value.code == "pair-count-mismatch"
     for ell in (0, -2):
         for check in (validate_pairs, wiring_svg):
             with pytest.raises(WiringError, match=f"^ell={ell}, expected "
