@@ -75,17 +75,18 @@ def _load_group(name_or_path: str):
     return parse_group_table(_read(name_or_path))
 
 
-def _parse_ordering(value: str):
-    """--ordering's value: the mode 'identity' or 'all', or a permutation
-    of the lines as a tuple."""
-    if value in ("identity", "all"):
+def _parse_ordering(args, modes):
+    """--ordering's value: one of the subcommand's modes, or a permutation
+    of the lines as a tuple.  The error names only the modes given."""
+    value = args.ordering
+    if value in modes:
         return value
     try:
         return tuple(int(t) for t in value.replace(",", " ").split())
     except ValueError:
         raise ProverError(
-            f"--ordering expects 'identity', 'all' or a permutation, "
-            f"got {value!r}")
+            f"{args.command} --ordering expects "
+            f"{', '.join(map(repr, modes))} or a permutation, got {value!r}")
 
 
 def _budget(args) -> Budget:
@@ -154,10 +155,7 @@ def _cmd_candidate(args) -> int:
     # the sweep's lattice, in the point order and wire numbering verdict's
     # certificates use; with an ordering, the certificate target
     lat = sweep(parse_arrangement(_read(args.input))).lattice
-    ordering = _parse_ordering(args.ordering)
-    if ordering == "all":
-        raise ProverError("candidate --ordering expects 'identity' or a "
-                          "permutation, got 'all'")
+    ordering = _parse_ordering(args, ("identity",))
     if ordering == "identity":
         pres = candidate_cf(lat)
     else:
@@ -196,7 +194,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_verdict(args) -> int:
     swept = sweep(parse_arrangement(_read(args.input)))
-    orderings = _parse_ordering(args.ordering)
+    orderings = _parse_ordering(args, ("identity", "all"))
     verdict = cf_verdict(swept.lattice, swept.presentation, orderings,
                          _budget(args))
     _write(args.output, format_verdict(verdict))

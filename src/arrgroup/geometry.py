@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from importlib import resources
 from itertools import combinations
 from math import comb, gcd, lcm
 
@@ -83,6 +82,7 @@ def fixture_path(name: str):
         raise ArrangementError(
             "unknown-fixture",
             f"no fixture named {name!r}; run 'arrgroup fixture' for the list")
+    from importlib import resources  # only here: it is slow to import
     return resources.files("arrgroup").joinpath(f"fixtures/{name}.lines")
 
 

@@ -4,6 +4,10 @@ counts of homomorphisms into finite groups.
 Homomorphism counts are equivalence invariants, so they serve both as
 evidence when a certificate search fails (differing counts rule a candidate
 out) and as a consistency check on certificates that were found.
+
+numpy is imported by the functions that use it, the group-table constructor
+first among them, so importing arrgroup, and every command that counts no
+homomorphisms, loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import groupby
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from arrgroup.braid import substitute
 from arrgroup.geometry import integer, records
 from arrgroup.vankampen import Presentation, rotation_products
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,10 @@ class FiniteGroupTable:
 
     @staticmethod
     def make(rows, names=None) -> "FiniteGroupTable":
+        """The validated table; GroupTableError names the first check that
+        fails, and for associativity the least failing (a, b, c)."""
+        import numpy as np
+
         order = len(rows)
         if order == 0:
             raise GroupTableError("empty table: a group has an identity")
@@ -150,13 +160,13 @@ class FiniteGroupTable:
                     break
             if inverse[i] is None or rows[inverse[i]][i] != 0:
                 raise GroupTableError(f"element {i} has no inverse")
+        t = np.array(rows, dtype=np.intp)
         for a in range(order):
-            for b in range(order):
-                ab = rows[a][b]
-                for c in range(order):
-                    if rows[ab][c] != rows[a][rows[b][c]]:
-                        raise GroupTableError(
-                            f"associativity fails at ({a},{b},{c})")
+            # [b, c] of each side: (ab)c and a(bc)
+            bad = np.flatnonzero(t[t[a]] != t[a][t])
+            if len(bad):
+                b, c = divmod(int(bad[0]), order)
+                raise GroupTableError(f"associativity fails at ({a},{b},{c})")
         return FiniteGroupTable(order, tuple(names),
                                 tuple(tuple(r) for r in rows),
                                 tuple(inverse))
@@ -334,6 +344,8 @@ class OrbitTable:
 def orbit_table(table: FiniteGroupTable) -> OrbitTable:
     """The table's OrbitTable, subgroups numbered as first met from the
     whole group; built once per table."""
+    import numpy as np
+
     order = table.order
     tab = np.array(table.table)
     inv = np.array(table.inverse)
@@ -393,6 +405,8 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     candidate assignments.  ``cells`` is the (row, image) grid the
     reduced tree visits, one cell per kept row and candidate image; the
     brackets run on its live cells only."""
+    import numpy as np
+
     order = table.order
     # assignments are stored in dtype; group values in vtype, which also
     # holds a * order + b, the index into the flat tables below

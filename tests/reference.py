@@ -4,9 +4,11 @@ The Artin action of braids on free-group words, with braid inverses and
 half-twists, is the independent reference for the closed form by which
 ``vankampen.presentation`` carries meridians through the inverse
 half-twists.  ``artin_relation_words`` is the per-point transport built from
-it.  The rest materializes group descriptors, direct sums, sub-arrangements
-and group-table text, so that the tests can compare them with what the
-program computes.
+it.  ``group_table_error`` is the plain-loop reference for the checks of
+``FiniteGroupTable.make``, whose associativity test is vectorized.  The rest
+materializes group descriptors, direct sums, sub-arrangements and
+group-table text, so that the tests can compare them with what the program
+computes.
 """
 
 from __future__ import annotations
@@ -152,3 +154,34 @@ def format_group_table(g: FiniteGroupTable) -> str:
     lines = [f"order={g.order}", "names=" + " ".join(g.names)]
     lines.extend(" ".join(str(v) for v in row) for row in g.table)
     return "\n".join(lines) + "\n"
+
+
+def group_table_error(rows, names=None):
+    """The message of the first check of ``FiniteGroupTable.make`` that the
+    table fails, or None: the same checks in the same order, associativity
+    by a triple loop over (a, b, c) in lexicographic order."""
+    order = len(rows)
+    if order == 0:
+        return "empty table: a group has an identity"
+    if any(len(r) != order for r in rows):
+        return "table is not square"
+    for r in rows:
+        for v in r:
+            if not 0 <= v < order:
+                return f"entry {v} out of range"
+    if names is not None and len(names) != order:
+        return "wrong number of names"
+    for j in range(order):
+        if rows[0][j] != j or rows[j][0] != j:
+            return "element 0 is not an identity"
+    for i in range(order):
+        inv = next((j for j in range(order) if rows[i][j] == 0), None)
+        if inv is None or rows[inv][i] != 0:
+            return f"element {i} has no inverse"
+    for a in range(order):
+        for b in range(order):
+            ab = rows[a][b]
+            for c in range(order):
+                if rows[ab][c] != rows[a][rows[b][c]]:
+                    return f"associativity fails at ({a},{b},{c})"
+    return None

@@ -185,7 +185,14 @@ def test_verdict_ordering_search_cap_exits_one(tmp_path, capsys):
 def test_verdict_rejects_a_malformed_ordering(capsys):
     assert main(["verdict", "--input", tri_path(), "--ordering", "a b"]) == 1
     assert capsys.readouterr().err == (
-        "error: --ordering expects 'identity', 'all' or a permutation, "
+        "error: verdict --ordering expects 'identity', 'all' or a "
+        "permutation, got 'a b'\n")
+
+
+def test_candidate_names_only_its_own_ordering_modes(capsys):
+    assert main(["candidate", "--input", tri_path(), "--ordering", "a b"]) == 1
+    assert capsys.readouterr().err == (
+        "error: candidate --ordering expects 'identity' or a permutation, "
         "got 'a b'\n")
 
 

@@ -25,8 +25,9 @@ from arrgroup import (
     smith_diagonal,
     sweep,
 )
+from arrgroup.invariants import BUILTIN_GROUPS
 from conftest import pipeline
-from reference import format_group_table
+from reference import format_group_table, group_table_error
 
 
 def test_smith_diagonal_known_matrices():
@@ -104,6 +105,48 @@ def test_group_table_validation():
     rows[3][4], rows[3][5] = rows[3][5], rows[3][4]
     with pytest.raises(GroupTableError):
         FiniteGroupTable.make(tuple(tuple(r) for r in rows), s3.names)
+
+
+def make_error(rows):
+    try:
+        FiniteGroupTable.make(rows)
+    except GroupTableError as exc:
+        return str(exc)
+    return None
+
+
+def single_entry_mutations(g):
+    """Every table that differs from g's in exactly one entry."""
+    for i in range(g.order):
+        for j in range(g.order):
+            for v in range(g.order):
+                if v != g.table[i][j]:
+                    rows = list(g.table)
+                    rows[i] = rows[i][:j] + (v,) + rows[i][j + 1:]
+                    yield tuple(rows)
+
+
+def test_group_table_check_accepts_every_builtin_like_the_reference():
+    for name in BUILTIN_GROUPS:
+        rows = builtin_group(name).table
+        assert make_error(rows) is None
+        assert group_table_error(rows) is None
+
+
+@pytest.mark.parametrize("name, sample", [("S3", None), ("A4", 400),
+                                          ("S4", 400)])
+def test_group_table_check_agrees_with_the_reference_loop(name, sample):
+    # make compares (ab)c with a(bc) one row a at a time in numpy; the
+    # reference loops over (a, b, c), so both must name the same failure
+    tables = list(single_entry_mutations(builtin_group(name)))
+    if sample:
+        tables = random.Random(f"mutations-{name}").sample(tables, sample)
+    messages = [make_error(rows) for rows in tables]
+    assert messages == [group_table_error(rows) for rows in tables]
+    assert None not in messages
+    # the sample reaches the associativity check, not only the earlier ones
+    at_associativity = sum(m.startswith("associativity") for m in messages)
+    assert at_associativity > len(messages) / 3
 
 
 def test_group_table_round_trip():
