@@ -405,6 +405,25 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     candidate assignments.  ``cells`` is the (row, image) grid the
     reduced tree visits, one cell per kept row and candidate image; the
     brackets run on its live cells only."""
+    return _layered(p, table, node_cap, None)
+
+
+def hom_rows(p: Presentation, table: FiniteGroupTable, node_cap: int):
+    """Homomorphisms into the table group, every one conjugate to a row:
+    the images [row, g - 1] of hom_count's rows that survive its last
+    constrained layer, each generator that no bracket constrains given
+    every image in turn.  None when hom_count would abort, or when those
+    rows, counted on top of its nodes, pass node_cap."""
+    import numpy as np
+
+    kept = []
+    if _layered(p, table, node_cap, kept).outcome == "aborted":
+        return None
+    return np.concatenate(kept)
+
+
+def _layered(p, table, node_cap, kept):
+    """hom_count's search; kept, unless None, collects hom_rows' rows."""
     import numpy as np
 
     order = table.order
@@ -422,7 +441,8 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     reps = orbits.is_rep.sum(axis=1)  # representatives per stabilizer
     images = np.arange(order, dtype=vtype)
     # whole brackets: every split-point equality of one has its support
-    layers = _by_layer(_assignment_order(p), (
+    gens = _assignment_order(p)
+    layers = _by_layer(gens, (
         ({abs(c) for w in rel.words for c in w}, rel.words)
         for rel in p.relations))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
@@ -472,6 +492,8 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
 
     def expand(assigned, stab, weight, layer):
         if layer > last_constrained:
+            if kept is not None:
+                kept.append(free_images(assigned, layer))
             return int(weight.sum()) * order ** (p.ngens - layer + 1)
         total = 0
         for lo in range(0, len(assigned), chunk_rows):
@@ -493,7 +515,7 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
                 ri, gi = ri[keep], gi[keep]
             cell = pstab.take(ri) * order + gi  # index into [stab, g]
             nweight = pweight.take(ri) * orbit_size.take(cell)
-            if layer == last_constrained:
+            if layer == last_constrained and kept is None:
                 total += int(nweight.sum()) * order ** (p.ngens - layer)
                 continue
             nxt = np.empty((len(ri), layer), dtype=dtype)
@@ -501,6 +523,21 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
             nxt[:, layer - 1] = gi
             total += expand(nxt, next_stab.take(cell), nweight, layer + 1)
         return total
+
+    def free_images(assigned, layer):
+        # the rows with every image of each unconstrained generator, put
+        # in generator order
+        free = p.ngens - layer + 1
+        state["nodes"] += len(assigned) * order ** free
+        if state["nodes"] > node_cap:
+            raise _Abort
+        tail = np.indices((order,) * free, dtype=dtype).reshape(
+            free, order ** free).T
+        rows = np.empty((len(assigned) * len(tail), p.ngens), dtype=dtype)
+        col = np.array(gens, dtype=np.intp) - 1
+        rows[:, col[:layer - 1]] = np.repeat(assigned, len(tail), axis=0)
+        rows[:, col[layer - 1:]] = np.tile(tail, (len(assigned), 1))
+        return rows
 
     seed = np.zeros((1, 0), dtype=dtype)
     try:

@@ -30,11 +30,11 @@ from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.geometry import integer, records
-from arrgroup.invariants import HOM_NODES, builtin_group, hom_count
+from arrgroup.invariants import HOM_NODES, builtin_group, hom_count, hom_rows
 from arrgroup.vankampen import (
+    CyclicRelation,
     Presentation,
     candidate_cf,
-    canonical_rotation,
     conjugate_all,
     conjugate_letter,
     format_presentation,
@@ -52,7 +52,11 @@ class Budget:
     ``max_steps`` caps the forward steps of a certificate; ``bfs_nodes``
     caps the per-relation rescue search that runs when the guided phase
     stalls; ``hom_nodes`` caps the unreduced backtracking tree of
-    homomorphism counting (``HomCount.nodes``).
+    homomorphism counting (``HomCount.nodes``).  Under
+    ``cf_verdict(..., "all")`` it also caps the homomorphisms into S3 by
+    which a rescue drops the targets it cannot reach; the search, and so
+    every output, is the same with or without them, and an aborted
+    enumeration drops nothing.
     """
 
     max_word_len: int = 64
@@ -242,8 +246,10 @@ def _shortens(w, pos, lhs, rhs):
 
 def _move(words, move, max_len):
     """The relation's words after one move and the free-reduction trace of
-    a substitution (a conjugation leaves none), or None when an entry the
-    move changes grows longer than max_len."""
+    a substitution (a conjugation leaves none), or None when the move is
+    refused: a substitution whose rewritten entry is longer than max_len,
+    or a conjugation after which any entry is, one already too long
+    included."""
     if move[0] == "conj":
         new = conjugate_letter(words, move[1])
         if any(len(w) > max_len for w in new):
@@ -476,49 +482,106 @@ def _guided_phase(state, pool, claims):
 # breadth-first rescue for relations the guided phase cannot finish
 # ---------------------------------------------------------------------------
 
-def _bfs_rescue(state, r, pool, ngens):
+def _quotient_targets(state, r, targets, ngens, table):
+    """The targets that relation r may still reach.  Every rescue move
+    keeps the images of the relation's entries, up to one simultaneous
+    conjugation, under each homomorphism phi from the group of the other
+    relations' current words into the table group: a conjugation
+    conjugates them all, and a substitution or free reduction changes no
+    image.  So a target is dropped when, for some phi, no element
+    conjugates the relation's images onto the target's.  Every phi is
+    conjugate to a row of hom_rows, capped by the budget's hom_nodes; when
+    that aborts, no target is dropped."""
+    import numpy as np
+
+    others = Presentation(ngens, tuple(
+        CyclicRelation(ws) for s, ws in enumerate(state.rels) if s != r))
+    rows = hom_rows(others, table, state.budget.hom_nodes)
+    if rows is None:
+        return targets
+    tab = np.array(table.table, dtype=np.intp)
+    inv = np.array(table.inverse, dtype=np.intp)
+    conj = tab[tab, inv[:, None]]  # conj[h, g] = h g h^-1
+    values = {}
+
+    def images(words):  # [row, entry]
+        for w in words:
+            if w not in values:
+                v = np.zeros(len(rows), dtype=np.intp)
+                for c in w:
+                    x = rows[:, abs(c) - 1]
+                    v = tab[v, x if c > 0 else inv[x]]
+                values[w] = v
+        return np.stack([values[w] for w in words], axis=1)
+
+    base = conj[:, images(state.rels[r])]  # [h, row, entry]
+    return [words for words in targets
+            if (base == images(words)).all(axis=2).any(axis=0).all()]
+
+
+def _bfs_rescue(state, r, pool, ngens, quotient=None):
     """Best-first search (priority: total relation length, then insertion
     order) over single-relation moves, other relations frozen, until a node
     is a rotation of a waiting target (the pool is fixed meanwhile).
 
     Every move keeps each entry's exponent sums, so only the waiting
     rotations that share the relation's are searched for, and the relation
-    is not searched at all when none does."""
+    is not searched at all when none does.  Given a quotient group table,
+    neither are the rotations _quotient_targets finds out of reach; the
+    search still visits the same nodes and lands on the same one."""
     budget = state.budget
+    max_len = budget.max_word_len
     base = state.rels[r]
     sums = _exponent_sums(base)
-    targets = {words for words in _waiting_rotations(pool)
-               if _exponent_sums(words) == sums}
+    targets = [words for words in _waiting_rotations(pool)
+               if _exponent_sums(words) == sums]
+    if targets and quotient is not None:
+        targets = _quotient_targets(state, r, targets, ngens, quotient)
     if not targets:
         return False
     sites = state.sites(r)
     conjs = [("conj", s * g) for g in range(1, ngens + 1) for s in (1, -1)]
-    visited = {base}
-    counter = itertools.count()
-    heap = [(sum(len(w) for w in base), next(counter), base, ())]
+    seen = dict.fromkeys(targets, True)  # words -> is a waiting target
+    seen[base] = False
+    size = len(seen)
+    parent = [None]  # node id -> (parent id, move); ids rise in push order
+    heap = [(sum(map(len, base)), 0, base, 0)]
     nodes = 0
     while heap:
-        _, _, words, path = heapq.heappop(heap)
-        if len(path) >= BFS_DEPTH:
+        total, nid, words, depth = heapq.heappop(heap)
+        if depth >= BFS_DEPTH:
             continue
-        substs = (("subst", e) + site for e, w in enumerate(words)
-                  for site in sites(w))
-        for move in itertools.chain(conjs, substs):
-            moved = _move(words, move, budget.max_word_len)
-            if moved is None or moved[0] in visited:
-                continue
-            new = moved[0]
+        children = [(new, sum(map(len, new)), move) for move in conjs
+                    for new in (conjugate_letter(words, move[1]),)]
+        # a conjugation lengthens an entry by at most 2
+        if max(map(len, words), default=0) + 2 > max_len:
+            children = [child for child in children
+                        if all(len(w) <= max_len for w in child[0])]
+        for e, w in enumerate(words):
+            for site in sites(w):
+                red = _rewrite(w, *site[:3])[0]
+                if len(red) <= max_len:
+                    children.append((words[:e] + (red,) + words[e + 1:],
+                                     total - len(w) + len(red),
+                                     ("subst", e) + site))
+        for new, length, move in children:
+            landed = seen.setdefault(new, False)
+            if not landed and len(seen) == size:
+                continue  # visited before
             nodes += 1
             if nodes > budget.bfs_nodes:
                 return False
-            visited.add(new)
-            newpath = path + (move,)
-            if new in targets:
-                for m in newpath:
-                    state.apply(r, m)
+            if landed:
+                path = [move]
+                while nid:
+                    nid, move = parent[nid]
+                    path.append(move)
+                for move in reversed(path):
+                    state.apply(r, move)
                 return True
-            heapq.heappush(heap, (sum(len(w) for w in new), next(counter),
-                                  new, newpath))
+            size += 1
+            heapq.heappush(heap, (length, len(parent), new, depth + 1))
+            parent.append((nid, move))
     return False
 
 
@@ -543,7 +606,12 @@ def prove_equivalent(source: Presentation, target: Presentation,
     or "unknown" with the stuck intermediate states.  Unknown means the
     search failed within budget, nothing more.
     """
-    budget = budget or Budget()
+    return _prove(source, target, budget or Budget(), None)
+
+
+def _prove(source, target, budget, quotient):
+    """prove_equivalent; a quotient group table also lets each rescue drop
+    the targets it cannot reach (_quotient_targets)."""
     if source.ngens != target.ngens:
         return ProveResult("unknown", None, "generator counts differ")
     if len(source.relations) != len(target.relations):
@@ -563,7 +631,7 @@ def prove_equivalent(source: Presentation, target: Presentation,
             for r in range(len(state.rels)):
                 if r in claims:
                     continue
-                if _bfs_rescue(state, r, pool, source.ngens):
+                if _bfs_rescue(state, r, pool, source.ngens, quotient):
                     if not _try_claim(state, r, pool, claims):
                         raise ProverError("rescue landed off target")
                     _guided_phase(state, pool, claims)
@@ -792,6 +860,17 @@ def _counts_differ(a, b):
     return a.outcome == b.outcome == "exact" and a.count != b.count
 
 
+def _cyclic_order(incident, slot):
+    """The point's lines (ascending incident) in slot order, rotated to
+    start at its least line: the least rotation, as the lines are
+    distinct.  Two lines have one cyclic order."""
+    if len(incident) == 2:
+        return incident
+    ring = sorted(incident, key=slot.get)
+    k = ring.index(incident[0])
+    return tuple(ring[k:] + ring[:k])
+
+
 def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
                budget: Budget | None = None) -> Verdict:
     """Certify (or fail to certify) that the arrangement presentation is
@@ -803,15 +882,17 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     so the search keys permutations by that tuple of cyclic orders, and
     each distinct candidate is built, counted into S3 and proved once.  One
     whose exact S3 count differs from the presentation's is not proved,
-    since no certificate can exist for it.  The Unknown verdict carries
-    homomorphism-count evidence when the "all" search fails everywhere;
-    with a single ordering its reason is the prover's (the budget that ran
-    out, or the stuck relations).
+    since no certificate can exist for it; the others are proved with S3
+    as the rescue's quotient (_quotient_targets).  The Unknown verdict
+    carries homomorphism-count evidence when the "all" search fails
+    everywhere; with a single ordering its reason is the prover's (the
+    budget that ran out, or the stuck relations).
     """
     budget = budget or Budget()
     n = pres.ngens
     if lattice.n != n:
         raise ProverError("lattice and presentation disagree on line count")
+    s3 = None
     if orderings == "identity":
         orderings = tuple(range(1, n + 1))
     if not isinstance(orderings, str):
@@ -823,7 +904,8 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
         if n > 8:
             raise ProverError("ordering search is capped at 8 lines")
         perms = itertools.permutations(range(1, n + 1))
-        src_count = hom_count(pres, builtin_group("S3"), budget.hom_nodes)
+        s3 = builtin_group("S3")
+        src_count = hom_count(pres, s3, budget.hom_nodes)
         budget = dc_replace(budget, bfs_nodes=max(100, budget.bfs_nodes // 4))
     else:
         raise ProverError(f"unknown orderings mode {orderings!r}")
@@ -832,20 +914,19 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     counts = {}
     for tried, perm in enumerate(perms, 1):
         slot = {line: j for j, line in enumerate(perm)}
-        key = tuple(canonical_rotation(sorted(pt.incident, key=slot.get))
+        key = tuple(_cyclic_order(pt.incident, slot)
                     for pt in lattice.points)
         if key in counts:
             continue
         cand_pos = candidate_cf(lattice, perm)
         cand_line = relabel_presentation(cand_pos, perm)
-        cnt = counts[key] = (
-            hom_count(cand_line, builtin_group("S3"), budget.hom_nodes)
-            if orderings == "all" else None)
+        cnt = counts[key] = (hom_count(cand_line, s3, budget.hom_nodes)
+                             if s3 is not None else None)
         # a certificate makes the two groups equal, so a candidate whose
         # S3 count differs is not proved
         if cnt is not None and _counts_differ(cnt, src_count):
             continue
-        result = prove_equivalent(pres, cand_line, budget)
+        result = _prove(pres, cand_line, budget, s3)
         if result.status == "certified":
             assert is_conjugation_free(cand_pos)
             return Verdict("Certified", perm, cand_pos, cand_line,

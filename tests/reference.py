@@ -5,7 +5,10 @@ half-twists, is the independent reference for the closed form by which
 ``vankampen.presentation`` carries meridians through the inverse
 half-twists.  ``artin_relation_words`` is the per-point transport built from
 it.  ``group_table_error`` is the plain-loop reference for the checks of
-``FiniteGroupTable.make``, whose associativity test is vectorized.  The rest
+``FiniteGroupTable.make``, whose associativity test is vectorized.
+``bfs_rescue`` is the prover's rescue search with a visited set, a target
+set and whole paths on the heap, and ``homomorphisms`` finds every
+homomorphism into a finite group by trying every assignment.  The rest
 materializes group descriptors, direct sums, sub-arrangements and
 group-table text, so that the tests can compare them with what the program
 computes.
@@ -13,10 +16,16 @@ computes.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 from arrgroup import (Arrangement, CyclicRelation, FiniteGroupTable,
                       PairList, Presentation, free_reduce, word_mul)
 from arrgroup.braid import substitute
 from arrgroup.grouptheory import GroupDescriptor
+from arrgroup.prover import (BFS_DEPTH, _exponent_sums, _move,
+                             _waiting_rotations)
+from arrgroup.vankampen import rotation_products
 
 # ---------------------------------------------------------------------------
 # Artin action
@@ -185,3 +194,66 @@ def group_table_error(rows, names=None):
                 if rows[ab][c] != rows[a][rows[b][c]]:
                     return f"associativity fails at ({a},{b},{c})"
     return None
+
+
+# ---------------------------------------------------------------------------
+# the rescue search and homomorphisms, by the plain loops
+# ---------------------------------------------------------------------------
+
+def bfs_rescue(state, r, pool, ngens):
+    """The rescue search with a visited set, a target set and the whole
+    path on every heap entry."""
+    budget = state.budget
+    base = state.rels[r]
+    sums = _exponent_sums(base)
+    targets = {words for words in _waiting_rotations(pool)
+               if _exponent_sums(words) == sums}
+    if not targets:
+        return False
+    sites = state.sites(r)
+    conjs = [("conj", s * g) for g in range(1, ngens + 1) for s in (1, -1)]
+    visited = {base}
+    counter = itertools.count()
+    heap = [(sum(len(w) for w in base), next(counter), base, ())]
+    nodes = 0
+    while heap:
+        _, _, words, path = heapq.heappop(heap)
+        if len(path) >= BFS_DEPTH:
+            continue
+        substs = (("subst", e) + site for e, w in enumerate(words)
+                  for site in sites(w))
+        for move in itertools.chain(conjs, substs):
+            moved = _move(words, move, budget.max_word_len)
+            if moved is None or moved[0] in visited:
+                continue
+            new = moved[0]
+            nodes += 1
+            if nodes > budget.bfs_nodes:
+                return False
+            visited.add(new)
+            newpath = path + (move,)
+            if new in targets:
+                for m in newpath:
+                    state.apply(r, m)
+                return True
+            heapq.heappush(heap, (sum(len(w) for w in new), next(counter),
+                                  new, newpath))
+    return False
+
+
+def homomorphisms(p: Presentation, table: FiniteGroupTable):
+    """Every assignment of generator images, as a tuple [g - 1], under which
+    each bracket's split-point products are equal."""
+    def value(word, images):
+        v = 0
+        for c in word:
+            x = images[abs(c) - 1]
+            v = table.table[v][x if c > 0 else table.inverse[x]]
+        return v
+
+    products = [rotation_products(rel.words) for rel in p.relations]
+    return {images
+            for images in itertools.product(range(table.order),
+                                            repeat=p.ngens)
+            if all(len({value(q, images) for q in prods}) == 1
+                   for prods in products)}

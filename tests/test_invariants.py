@@ -25,9 +25,9 @@ from arrgroup import (
     smith_diagonal,
     sweep,
 )
-from arrgroup.invariants import BUILTIN_GROUPS
+from arrgroup.invariants import BUILTIN_GROUPS, HOM_NODES, hom_rows
 from conftest import pipeline
-from reference import format_group_table, group_table_error
+from reference import format_group_table, group_table_error, homomorphisms
 
 
 def test_smith_diagonal_known_matrices():
@@ -305,6 +305,66 @@ def test_hom_count_vectorized_equals_scalar(data):
     assert fast.outcome == slow.outcome == "exact"
     assert fast.count == slow.count
     assert fast.cells <= fast.nodes
+
+
+# hom_rows exposes the kernel's surviving rows; closed under conjugation
+# they are every homomorphism, which the reference finds by trying every
+# assignment.  Generators past the letters drawn are unconstrained.
+@settings(max_examples=60)
+@given(st.data())
+def test_hom_rows_closed_under_conjugation_are_every_homomorphism(data):
+    name = data.draw(st.sampled_from(["D4", "Q8", "S3", "Z6", "A4"]))
+    table = TABLES[name]
+    ngens = data.draw(st.integers(0, 4 if table.order <= 8 else 3))
+    used = data.draw(st.integers(0, ngens))
+    letter = st.integers(-used, used).filter(bool)
+    words = st.lists(st.lists(letter, max_size=5).map(tuple),
+                     min_size=2, max_size=3)
+    rels = tuple(CyclicRelation(tuple(w))
+                 for w in data.draw(st.lists(words, max_size=3 * bool(used))))
+    pres = Presentation(ngens, rels)
+    rows = hom_rows(pres, table, HOM_NODES)
+    t, inv = table.table, table.inverse
+    closure = {tuple(t[t[h][g]][inv[h]] for g in row)
+               for row in rows.tolist() for h in range(table.order)}
+    assert closure == homomorphisms(pres, table)
+    full = hom_count(pres, table)
+    assert len(closure) == full.count
+    # the rows count as nodes on top of the tree's
+    assert hom_rows(pres, table, full.nodes + len(rows)) is not None
+    assert hom_rows(pres, table, full.nodes + len(rows) - 1) is None
+
+
+# (count, nodes, cells) of every fixture's presentation into every builtin
+# group, recorded before hom_rows shared the kernel; None is an abort
+FIXTURE_COUNTS = {
+    "pencil": ((66, 258, 90), (224, 584, 272), (264, 1884, 324),
+               (1032, 14424, 1176), (4620, 219660, 4980)),
+    "nearpencil": ((144, 546, 216), (832, 2184, 1056), (672, 3900, 900),
+                   (2688, 28248, 3336), (9120, 298860, 10800)),
+    "triangle": ((972, 3858, 1560), (13312, 38280, 17760),
+                 (7296, 40476, 10380), (35808, 368664, 49008),
+                 (131400, 3214860, 175080)),
+    "triangle_plus_line": ((2622, 9366, 4128), (51200, 142088, 68288),
+                           (25416, 124572, 35508),
+                           (130728, 1176216, 176568),
+                           (582420, 10504860, 747600)),
+    "cycle5": ((62208, 197574, 95046), (3174400, 8588040, 4244160),
+               (1285248, 5635452, 1754388), (7664160, 63551832, 10299000),
+               (None, 102692220, 7702200)),
+    "ceva": ((1008, 4722, 1704), (14080, 44424, 19296),
+             (7488, 52860, 11412), (38880, 547800, 58776),
+             (138000, 5821260, 218520)),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_hom_count_of_every_fixture_is_the_recorded_one(name):
+    pres = pipeline(name).presentation
+    got = tuple((r.count, r.nodes, r.cells)
+                for r in (hom_count(pres, builtin_group(group))
+                          for group in ("S3", "D4", "A4", "S4", "A5")))
+    assert got == FIXTURE_COUNTS[name]
 
 
 def brackets(ngens, *entries):

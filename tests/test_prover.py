@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrgroup import (
@@ -30,12 +30,15 @@ from arrgroup import (
     replay,
     sweep,
 )
-from arrgroup.prover import (_bfs_rescue, _exponent_sums, _move,
-                             _pool_rotation, _reduce_trace,
+from arrgroup.prover import (_bfs_rescue, _cyclic_order, _exponent_sums,
+                             _move, _pool_rotation, _prove,
+                             _quotient_targets, _reduce_trace,
                              _relation_licenses, _rewrite, _shortens,
                              _SiteIndex, _State, _waiting_rotations)
+from arrgroup.vankampen import canonical_rotation, conjugate_letter
 from conftest import (TRIPLE_QUADRUPLE, affine_image, fixture_arrangement,
                       pipeline)
+from reference import bfs_rescue
 
 
 def two_gen_target():
@@ -378,6 +381,172 @@ def test_rescue_skips_a_relation_no_waiting_target_can_reach(monkeypatch):
         _bfs_rescue(state, 0, {((3,), (1,)): [0]}, 3)
 
 
+def bracket_words(length):
+    entry = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                     max_size=length).map(lambda w: free_reduce(tuple(w)))
+    return st.lists(entry, min_size=2, max_size=3).map(tuple)
+
+
+brackets = bracket_words(5)
+# short entries grant short licenses, which a stuck relation's words hold
+licensing_brackets = bracket_words(2)
+RESCUE_CONJS = [("conj", s * g) for g in (1, 2, 3) for s in (1, -1)]
+
+
+def moved_words(state, r, rng, count):
+    """Relation r's words after up to count random rescue moves that the
+    budget's word length allows, each a substitution three times in four
+    when the words hold a site."""
+    sites = state.sites(r)
+    words = state.rels[r]
+    for _ in range(count):
+        substs = [("subst", e) + site for e, w in enumerate(words)
+                  for site in sites(w)]
+        moves = substs if substs and rng.random() < 0.75 else RESCUE_CONJS
+        moved = _move(words, rng.choice(moves), state.budget.max_word_len)
+        if moved is not None:
+            words = moved[0]
+    return words
+
+
+def rescue_case(others, stuck, r, seed, reached, strangers, budget):
+    """A presentation on 3 generators, relation r of it stuck and the rest
+    ``others``, and a pool of targets: each of ``reached`` is relation r
+    after 0-4 random moves, half of them then with each entry conjugated
+    by its own random letter (same exponent sums, often out of reach), in
+    a random rotation; ``strangers`` are drawn at random.  Each entry of
+    the stuck relation gets the lhs of a random license spliced in, so
+    that it holds sites."""
+    rng = random.Random(seed)
+    r %= len(others) + 1
+    lhs = [lhs for s, ws in enumerate(others)
+           for lhs, _, _ in _relation_licenses(s, ws)]
+    if lhs:
+        stuck = tuple(free_reduce(w[:k] + rng.choice(lhs) + w[k:])
+                      for w in stuck for k in (rng.randint(0, len(w)),))
+    rels = others[:r] + [stuck] + others[r:]
+    pres = Presentation(3, tuple(map(CyclicRelation, rels)))
+    pool = {}
+    for t in range(reached):
+        words = moved_words(_State(pres, budget), r, rng, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            words = tuple(conjugate_letter((w,), rng.choice((1, 2, 3)))[0]
+                          for w in words)
+        k = rng.randrange(len(words))
+        pool.setdefault(words[k:] + words[:k], []).append(t)
+    for words in strangers:
+        pool.setdefault(words, []).append(len(pool))
+    return pres, r, pool
+
+
+# the stuck relation's first entry is longer than max_word_len, and its
+# second is empty
+@example(others=[((1,), (2,))], stuck=((1, 2, 1, 2, 1), ()), r=0, seed=1,
+         reached=2, strangers=[((), (1,))], bfs_nodes=300, max_word_len=3)
+# conjugating by x3 makes the first entry 4 letters long, one more than
+# max_word_len allows, so the target is out of reach
+@example(others=[], stuck=((1, 2), (3,)), r=0, seed=1, reached=0,
+         strangers=[((-3, 1, 2, 3), (3,))], bfs_nodes=300, max_word_len=3)
+@settings(max_examples=200)
+@given(st.lists(licensing_brackets, min_size=1, max_size=3), brackets,
+       st.integers(0, 3), st.integers(0, 2 ** 32), st.integers(1, 4),
+       st.lists(brackets, max_size=2), st.sampled_from([0, 1, 2, 7, 300]),
+       st.sampled_from([3, 4, 64]))
+def test_rescue_searches_as_the_reference_does(
+        others, stuck, r, seed, reached, strangers, bfs_nodes, max_word_len):
+    budget = Budget(max_word_len=max_word_len, bfs_nodes=bfs_nodes)
+    pres, r, pool = rescue_case(others, stuck, r, seed, reached, strangers,
+                                budget)
+
+    def run(search, *quotient):
+        state = _State(pres, budget)
+        found = search(state, r, pool, 3, *quotient)
+        return found, (state.rels, state.forward, state.backward)
+
+    want = run(bfs_rescue)
+    assert run(_bfs_rescue) == want
+    # the S3 quotient drops only targets out of reach
+    found, steps = run(_bfs_rescue, builtin_group("S3"))
+    assert found == want[0]
+    if found:
+        assert steps == want[1]
+
+
+@pytest.mark.parametrize("name", ["triangle", "triangle_plus_line",
+                                  "cycle5", "ceva"])
+def test_rescue_proves_as_the_reference_does(monkeypatch, name):
+    # whole proofs, whose rescues run on the fixtures' stuck relations
+    pipe = pipeline(name)
+    target = relabel_presentation(candidate_cf(pipe.lattice),
+                                  tuple(range(1, pipe.presentation.ngens + 1)))
+    budgets = [Budget(), Budget(bfs_nodes=300), Budget(max_word_len=8)]
+    got = [prove_equivalent(pipe.presentation, target, b) for b in budgets]
+    assert got == [_prove(pipe.presentation, target, b, builtin_group("S3"))
+                   for b in budgets]
+    monkeypatch.setattr("arrgroup.prover._bfs_rescue",
+                        lambda state, r, pool, ngens, quotient:
+                        bfs_rescue(state, r, pool, ngens))
+    assert got == [prove_equivalent(pipe.presentation, target, b)
+                   for b in budgets]
+
+
+@pytest.mark.parametrize("group", ["S3", "A4"])
+@given(st.lists(licensing_brackets, min_size=1, max_size=3), brackets,
+       st.integers(0, 3), st.integers(0, 2 ** 32), st.integers(0, 6))
+def test_quotient_keeps_every_target_legal_moves_reach(group, others, stuck,
+                                                       r, seed, count):
+    budget = Budget(max_word_len=8)
+    pres, r, _ = rescue_case(others, stuck, r, seed, 0, [], budget)
+    state = _State(pres, budget)
+    words = moved_words(_State(pres, budget), r, random.Random(seed), count)
+    rotations = [words[k:] + words[:k] for k in range(len(words))]
+    kept = _quotient_targets(state, r, rotations, 3, builtin_group(group))
+    assert words in kept
+
+
+def quotient_checks(monkeypatch, lattice, pres, budget=None):
+    """(stuck words, targets, targets kept) of every quotient check that
+    cf_verdict(..., "all") makes."""
+    calls = []
+
+    def spy(state, r, targets, ngens, table):
+        kept = quotient_targets(state, r, targets, ngens, table)
+        calls.append((state.rels[r], targets, kept))
+        return kept
+
+    quotient_targets = _quotient_targets
+    monkeypatch.setattr("arrgroup.prover._quotient_targets", spy)
+    assert cf_verdict(lattice, pres, "all", budget).status == "Unknown"
+    return calls
+
+
+def test_quotient_drops_cevas_stuck_target(monkeypatch):
+    # both proofs stop at relation 3, [ x2 x1 x2^-1 ; x4 ], whose only
+    # target with the same exponent sums, [ x1 ; x4 ], S3 tells apart
+    pipe = pipeline("ceva")
+    calls = quotient_checks(monkeypatch, pipe.lattice, pipe.presentation)
+    assert calls == [(((2, 1, -2), (4,)), [((1,), (4,))], [])] * 2
+
+
+def test_quotient_drops_no_triple_quadruple_target(monkeypatch):
+    swept = sweep(parse_arrangement(TRIPLE_QUADRUPLE))
+    calls = quotient_checks(monkeypatch, swept.lattice, swept.presentation)
+    assert len(calls) == 24
+    assert all(kept == targets for _, targets, kept in calls)
+
+
+def test_aborted_quotient_drops_nothing(monkeypatch):
+    # below ceva's S3 count nodes every candidate is proved, and its
+    # relation 3 keeps [ x1 ; x4 ] in each proof
+    pipe = pipeline("ceva")
+    calls = quotient_checks(monkeypatch, pipe.lattice, pipe.presentation,
+                            Budget(hom_nodes=50))
+    assert len(calls) >= 16
+    assert all(kept == targets for _, targets, kept in calls)
+    assert (((2, 1, -2), (4,)), [((1,), (4,))],
+            [((1,), (4,))]) in calls
+
+
 def fresh_index(rels, skip):
     index = _SiteIndex()
     for s, ws in enumerate(rels):
@@ -474,9 +643,9 @@ def test_ordering_search_proves_candidates_whose_s3_count_matches(
 
     def counted(*args):
         calls.append(args)
-        return prove_equivalent(*args)
+        return _prove(*args)
 
-    monkeypatch.setattr("arrgroup.prover.prove_equivalent", counted)
+    monkeypatch.setattr("arrgroup.prover._prove", counted)
     pipe = pipeline("ceva")
     verdict = cf_verdict(pipe.lattice, pipe.presentation, "all",
                          Budget(hom_nodes=hom_nodes))
@@ -528,6 +697,16 @@ def test_cyclic_orders_at_the_points_fix_the_candidate(lattice, classes):
                 classes, classes, classes)
 
 
+@given(st.lists(st.integers(1, 8), min_size=2, max_size=8, unique=True),
+       st.permutations(range(1, 9)))
+def test_cyclic_order_is_the_least_rotation(lines, perm):
+    # a point's key entry: its lines in slot order, least rotation first
+    incident = tuple(sorted(lines))
+    slot = {line: j for j, line in enumerate(perm)}
+    assert _cyclic_order(incident, slot) == canonical_rotation(
+        sorted(incident, key=slot.get))
+
+
 def test_ordering_search_is_capped_at_eight_lines():
     lines = "".join(f"{-i} 1 {i * i}\n" for i in range(1, 10))
     swept = sweep(parse_arrangement(lines))
@@ -540,7 +719,7 @@ def test_ordering_search_rules_out_every_candidate_by_s3_counts(
     def search(*args):
         raise AssertionError("proved")
 
-    monkeypatch.setattr("arrgroup.prover.prove_equivalent", search)
+    monkeypatch.setattr("arrgroup.prover._prove", search)
     # the free group on six letters has 6^6 maps into S3; no candidate has
     verdict = cf_verdict(pipeline("ceva").lattice, Presentation(6, ()), "all")
     assert verdict.status == "Unknown"
