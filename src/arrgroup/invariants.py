@@ -404,26 +404,11 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     count aborts (honestly) when that tree has more than node_cap
     candidate assignments.  ``cells`` is the (row, image) grid the
     reduced tree visits, one cell per kept row and candidate image; the
-    brackets run on its live cells only."""
-    return _layered(p, table, node_cap, None)
+    brackets run on its live cells only.
 
-
-def hom_rows(p: Presentation, table: FiniteGroupTable, node_cap: int):
-    """Homomorphisms into the table group, every one conjugate to a row:
-    the images [row, g - 1] of hom_count's rows that survive its last
-    constrained layer, each generator that no bracket constrains given
-    every image in turn.  None when hom_count would abort, or when those
-    rows, counted on top of its nodes, pass node_cap."""
-    import numpy as np
-
-    kept = []
-    if _layered(p, table, node_cap, kept).outcome == "aborted":
-        return None
-    return np.concatenate(kept)
-
-
-def _layered(p, table, node_cap, kept):
-    """hom_count's search; kept, unless None, collects hom_rows' rows."""
+    Isomorphic groups have equal counts, so two exact counts that differ
+    tell presentations apart: cf_verdict tests candidates by their counts
+    into S3, and rescues their targets (prover._quotient_targets)."""
     import numpy as np
 
     order = table.order
@@ -440,11 +425,11 @@ def _layered(p, table, node_cap, kept):
     next_stab = orbits.next_stab.ravel()
     reps = orbits.is_rep.sum(axis=1)  # representatives per stabilizer
     images = np.arange(order, dtype=vtype)
-    # whole brackets: every split-point equality of one has its support
-    gens = _assignment_order(p)
-    layers = _by_layer(gens, (
+    # whole brackets: every split-point equality of one has its support; a
+    # 1-entry bracket has no split point, so it holds everywhere
+    layers = _by_layer(_assignment_order(p), (
         ({abs(c) for w in rel.words for c in w}, rel.words)
-        for rel in p.relations))
+        for rel in p.relations if len(rel.words) > 1))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
     chunk_rows = max(1, (1 << 22) // order)
     state = {"nodes": 0, "cells": 0}
@@ -492,8 +477,6 @@ def _layered(p, table, node_cap, kept):
 
     def expand(assigned, stab, weight, layer):
         if layer > last_constrained:
-            if kept is not None:
-                kept.append(free_images(assigned, layer))
             return int(weight.sum()) * order ** (p.ngens - layer + 1)
         total = 0
         for lo in range(0, len(assigned), chunk_rows):
@@ -515,7 +498,7 @@ def _layered(p, table, node_cap, kept):
                 ri, gi = ri[keep], gi[keep]
             cell = pstab.take(ri) * order + gi  # index into [stab, g]
             nweight = pweight.take(ri) * orbit_size.take(cell)
-            if layer == last_constrained and kept is None:
+            if layer == last_constrained:
                 total += int(nweight.sum()) * order ** (p.ngens - layer)
                 continue
             nxt = np.empty((len(ri), layer), dtype=dtype)
@@ -523,21 +506,6 @@ def _layered(p, table, node_cap, kept):
             nxt[:, layer - 1] = gi
             total += expand(nxt, next_stab.take(cell), nweight, layer + 1)
         return total
-
-    def free_images(assigned, layer):
-        # the rows with every image of each unconstrained generator, put
-        # in generator order
-        free = p.ngens - layer + 1
-        state["nodes"] += len(assigned) * order ** free
-        if state["nodes"] > node_cap:
-            raise _Abort
-        tail = np.indices((order,) * free, dtype=dtype).reshape(
-            free, order ** free).T
-        rows = np.empty((len(assigned) * len(tail), p.ngens), dtype=dtype)
-        col = np.array(gens, dtype=np.intp) - 1
-        rows[:, col[:layer - 1]] = np.repeat(assigned, len(tail), axis=0)
-        rows[:, col[layer - 1:]] = np.tile(tail, (len(assigned), 1))
-        return rows
 
     seed = np.zeros((1, 0), dtype=dtype)
     try:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace as dc_replace
 
 from arrgroup.braid import format_word, free_reduce, word_inverse
 from arrgroup.geometry import integer, records
-from arrgroup.invariants import HOM_NODES, builtin_group, hom_count, hom_rows
+from arrgroup.invariants import HOM_NODES, builtin_group, hom_count
 from arrgroup.vankampen import (
     CyclicRelation,
     Presentation,
@@ -53,10 +53,10 @@ class Budget:
     caps the per-relation rescue search that runs when the guided phase
     stalls; ``hom_nodes`` caps the unreduced backtracking tree of
     homomorphism counting (``HomCount.nodes``).  Under
-    ``cf_verdict(..., "all")`` it also caps the homomorphisms into S3 by
-    which a rescue drops the targets it cannot reach; the search, and so
-    every output, is the same with or without them, and an aborted
-    enumeration drops nothing.
+    ``cf_verdict(..., "all")`` it also caps the S3 counts by which a
+    rescue drops the targets it cannot reach (a reachable one keeps the
+    source's count); every output is the same with or without them, and
+    an aborted count drops nothing.
     """
 
     max_word_len: int = 64
@@ -482,41 +482,23 @@ def _guided_phase(state, pool, claims):
 # breadth-first rescue for relations the guided phase cannot finish
 # ---------------------------------------------------------------------------
 
-def _quotient_targets(state, r, targets, ngens, table):
-    """The targets that relation r may still reach.  Every rescue move
-    keeps the images of the relation's entries, up to one simultaneous
-    conjugation, under each homomorphism phi from the group of the other
-    relations' current words into the table group: a conjugation
-    conjugates them all, and a substitution or free reduction changes no
-    image.  So a target is dropped when, for some phi, no element
-    conjugates the relation's images onto the target's.  Every phi is
-    conjugate to a row of hom_rows, capped by the budget's hom_nodes; when
-    that aborts, no target is dropped."""
-    import numpy as np
+def _quotient_targets(state, r, targets, ngens, quotient):
+    """The targets that relation r may still reach.  Every rescue move is
+    licensed by the other relations, so a reachable target, put in place
+    of r, presents the source's group (Tietze).  quotient is (table, the
+    source's HomCount into it): a target is dropped when that count for
+    its presentation, capped by the budget's hom_nodes, is exact and
+    differs (_counts_differ).  An aborted count drops nothing."""
+    table, src_count = quotient
+    rels = list(state.rels)
 
-    others = Presentation(ngens, tuple(
-        CyclicRelation(ws) for s, ws in enumerate(state.rels) if s != r))
-    rows = hom_rows(others, table, state.budget.hom_nodes)
-    if rows is None:
-        return targets
-    tab = np.array(table.table, dtype=np.intp)
-    inv = np.array(table.inverse, dtype=np.intp)
-    conj = tab[tab, inv[:, None]]  # conj[h, g] = h g h^-1
-    values = {}
+    def count(words):
+        rels[r] = words
+        return hom_count(Presentation(ngens, tuple(map(CyclicRelation, rels))),
+                         table, state.budget.hom_nodes)
 
-    def images(words):  # [row, entry]
-        for w in words:
-            if w not in values:
-                v = np.zeros(len(rows), dtype=np.intp)
-                for c in w:
-                    x = rows[:, abs(c) - 1]
-                    v = tab[v, x if c > 0 else inv[x]]
-                values[w] = v
-        return np.stack([values[w] for w in words], axis=1)
-
-    base = conj[:, images(state.rels[r])]  # [h, row, entry]
     return [words for words in targets
-            if (base == images(words)).all(axis=2).any(axis=0).all()]
+            if not _counts_differ(count(words), src_count)]
 
 
 def _bfs_rescue(state, r, pool, ngens, quotient=None):
@@ -526,9 +508,9 @@ def _bfs_rescue(state, r, pool, ngens, quotient=None):
 
     Every move keeps each entry's exponent sums, so only the waiting
     rotations that share the relation's are searched for, and the relation
-    is not searched at all when none does.  Given a quotient group table,
-    neither are the rotations _quotient_targets finds out of reach; the
-    search still visits the same nodes and lands on the same one."""
+    is not searched at all when none does.  Given a quotient, neither are
+    the rotations _quotient_targets rules out by their count; the search
+    still visits the same nodes and lands on the same one."""
     budget = state.budget
     max_len = budget.max_word_len
     base = state.rels[r]
@@ -610,8 +592,8 @@ def prove_equivalent(source: Presentation, target: Presentation,
 
 
 def _prove(source, target, budget, quotient):
-    """prove_equivalent; a quotient group table also lets each rescue drop
-    the targets it cannot reach (_quotient_targets)."""
+    """prove_equivalent; a quotient (group table, the source's HomCount
+    into it) lets each rescue drop targets by count (_quotient_targets)."""
     if source.ngens != target.ngens:
         return ProveResult("unknown", None, "generator counts differ")
     if len(source.relations) != len(target.relations):
@@ -670,9 +652,11 @@ def _check_index(ok, what, *args):
 
 def _replay_step(rels, step, nrels, ngens, memo):
     """Apply one step to rels; memo is the replay's, keyed by words."""
-    kind = step[0]
+    kind = step[0] if step else None
     if kind not in _STEP_ARITY:
         raise ReplayError("unknown-step", str(step))
+    if len(step) != 1 + _STEP_ARITY[kind]:
+        raise ReplayError("bad-arity", f"wrong field count: {step}")
     r = step[1]
     _check_index(0 <= r < nrels, "{}: relation {}", kind, r)
     if kind in ("reduce", "expand", "comm", "swap"):
@@ -882,17 +866,17 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
     so the search keys permutations by that tuple of cyclic orders, and
     each distinct candidate is built, counted into S3 and proved once.  One
     whose exact S3 count differs from the presentation's is not proved,
-    since no certificate can exist for it; the others are proved with S3
-    as the rescue's quotient (_quotient_targets).  The Unknown verdict
-    carries homomorphism-count evidence when the "all" search fails
-    everywhere; with a single ordering its reason is the prover's (the
-    budget that ran out, or the stuck relations).
+    since no certificate can exist for it; inside each proof the same test
+    drops the rescue targets it rules out (_quotient_targets).  The Unknown
+    verdict carries homomorphism-count evidence when the "all" search
+    fails everywhere; with a single ordering its reason is the prover's
+    (the budget that ran out, or the stuck relations).
     """
     budget = budget or Budget()
     n = pres.ngens
     if lattice.n != n:
         raise ProverError("lattice and presentation disagree on line count")
-    s3 = None
+    s3 = quotient = None
     if orderings == "identity":
         orderings = tuple(range(1, n + 1))
     if not isinstance(orderings, str):
@@ -906,6 +890,7 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
         perms = itertools.permutations(range(1, n + 1))
         s3 = builtin_group("S3")
         src_count = hom_count(pres, s3, budget.hom_nodes)
+        quotient = (s3, src_count)
         budget = dc_replace(budget, bfs_nodes=max(100, budget.bfs_nodes // 4))
     else:
         raise ProverError(f"unknown orderings mode {orderings!r}")
@@ -926,7 +911,7 @@ def cf_verdict(lattice, pres: Presentation, orderings: str = "identity",
         # S3 count differs is not proved
         if cnt is not None and _counts_differ(cnt, src_count):
             continue
-        result = _prove(pres, cand_line, budget, s3)
+        result = _prove(pres, cand_line, budget, quotient)
         if result.status == "certified":
             assert is_conjugation_free(cand_pos)
             return Verdict("Certified", perm, cand_pos, cand_line,

@@ -7,11 +7,9 @@ half-twists.  ``artin_relation_words`` is the per-point transport built from
 it.  ``group_table_error`` is the plain-loop reference for the checks of
 ``FiniteGroupTable.make``, whose associativity test is vectorized.
 ``bfs_rescue`` is the prover's rescue search with a visited set, a target
-set and whole paths on the heap, and ``homomorphisms`` finds every
-homomorphism into a finite group by trying every assignment.  The rest
-materializes group descriptors, direct sums, sub-arrangements and
-group-table text, so that the tests can compare them with what the program
-computes.
+set and whole paths on the heap.  The rest materializes group descriptors,
+direct sums, sub-arrangements and group-table text, so that the tests can
+compare them with what the program computes.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from arrgroup.braid import substitute
 from arrgroup.grouptheory import GroupDescriptor
 from arrgroup.prover import (BFS_DEPTH, _exponent_sums, _move,
                              _waiting_rotations)
-from arrgroup.vankampen import rotation_products
 
 # ---------------------------------------------------------------------------
 # Artin action
@@ -197,7 +194,7 @@ def group_table_error(rows, names=None):
 
 
 # ---------------------------------------------------------------------------
-# the rescue search and homomorphisms, by the plain loops
+# the rescue search, by the plain loops
 # ---------------------------------------------------------------------------
 
 def bfs_rescue(state, r, pool, ngens):
@@ -239,21 +236,3 @@ def bfs_rescue(state, r, pool, ngens):
             heapq.heappush(heap, (sum(len(w) for w in new), next(counter),
                                   new, newpath))
     return False
-
-
-def homomorphisms(p: Presentation, table: FiniteGroupTable):
-    """Every assignment of generator images, as a tuple [g - 1], under which
-    each bracket's split-point products are equal."""
-    def value(word, images):
-        v = 0
-        for c in word:
-            x = images[abs(c) - 1]
-            v = table.table[v][x if c > 0 else table.inverse[x]]
-        return v
-
-    products = [rotation_products(rel.words) for rel in p.relations]
-    return {images
-            for images in itertools.product(range(table.order),
-                                            repeat=p.ngens)
-            if all(len({value(q, images) for q in prods}) == 1
-                   for prods in products)}

@@ -25,9 +25,9 @@ from arrgroup import (
     smith_diagonal,
     sweep,
 )
-from arrgroup.invariants import BUILTIN_GROUPS, HOM_NODES, hom_rows
+from arrgroup.invariants import BUILTIN_GROUPS
 from conftest import pipeline
-from reference import format_group_table, group_table_error, homomorphisms
+from reference import format_group_table, group_table_error
 
 
 def test_smith_diagonal_known_matrices():
@@ -296,8 +296,10 @@ def test_hom_count_vectorized_equals_scalar(data):
     ngens = data.draw(st.integers(1, 3 if table.order <= 24 else 2))
     letter = st.integers(-ngens, ngens).filter(bool)
     words = st.lists(st.lists(letter, min_size=1, max_size=6).map(tuple),
-                     min_size=2, max_size=3)
-    rels = tuple(CyclicRelation.make(tuple(w), ngens)
+                     min_size=1, max_size=3)
+    # make refuses a 1-entry bracket, which holds under every assignment
+    rels = tuple(CyclicRelation.make(tuple(w), ngens) if len(w) > 1
+                 else CyclicRelation(tuple(w))
                  for w in data.draw(st.lists(words, max_size=3)))
     pres = Presentation(ngens, rels)
     fast = hom_count(pres, table)
@@ -307,36 +309,9 @@ def test_hom_count_vectorized_equals_scalar(data):
     assert fast.cells <= fast.nodes
 
 
-# hom_rows exposes the kernel's surviving rows; closed under conjugation
-# they are every homomorphism, which the reference finds by trying every
-# assignment.  Generators past the letters drawn are unconstrained.
-@settings(max_examples=60)
-@given(st.data())
-def test_hom_rows_closed_under_conjugation_are_every_homomorphism(data):
-    name = data.draw(st.sampled_from(["D4", "Q8", "S3", "Z6", "A4"]))
-    table = TABLES[name]
-    ngens = data.draw(st.integers(0, 4 if table.order <= 8 else 3))
-    used = data.draw(st.integers(0, ngens))
-    letter = st.integers(-used, used).filter(bool)
-    words = st.lists(st.lists(letter, max_size=5).map(tuple),
-                     min_size=2, max_size=3)
-    rels = tuple(CyclicRelation(tuple(w))
-                 for w in data.draw(st.lists(words, max_size=3 * bool(used))))
-    pres = Presentation(ngens, rels)
-    rows = hom_rows(pres, table, HOM_NODES)
-    t, inv = table.table, table.inverse
-    closure = {tuple(t[t[h][g]][inv[h]] for g in row)
-               for row in rows.tolist() for h in range(table.order)}
-    assert closure == homomorphisms(pres, table)
-    full = hom_count(pres, table)
-    assert len(closure) == full.count
-    # the rows count as nodes on top of the tree's
-    assert hom_rows(pres, table, full.nodes + len(rows)) is not None
-    assert hom_rows(pres, table, full.nodes + len(rows) - 1) is None
-
-
 # (count, nodes, cells) of every fixture's presentation into every builtin
-# group, recorded before hom_rows shared the kernel; None is an abort
+# group, recorded once and kept through every change to the kernel; None is
+# an abort
 FIXTURE_COUNTS = {
     "pencil": ((66, 258, 90), (224, 584, 272), (264, 1884, 324),
                (1032, 14424, 1176), (4620, 219660, 4980)),

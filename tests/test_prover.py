@@ -152,6 +152,18 @@ def test_replay_rejects_tampered_certificates():
     rejects("not-a-pair", comm, triple, triple)
 
 
+@pytest.mark.parametrize("step", [("rot", 0), ("swap", 0, 0, 0),
+                                  ("rot", 0, 1, 5), ()])
+def test_replay_rejects_a_step_with_the_wrong_field_count(step):
+    # a certificate built in code skips parse_certificate's field check
+    source, target = two_gen_source(), two_gen_target()
+    cert = prove_equivalent(source, target).certificate
+    with pytest.raises(ReplayError) as err:
+        replay(source, target, replace(cert, forward=(step,) + cert.forward))
+    assert err.value.code == ("bad-arity" if step else "unknown-step")
+    assert str(step) in str(err.value)
+
+
 def test_replay_rejects_a_repeated_match_line():
     one = Presentation(2, (CyclicRelation.make(((1,), (2,)), 2),))
     twice = Certificate(2, 1, ((0, 0), (0, 0)), (), ())
@@ -466,7 +478,8 @@ def test_rescue_searches_as_the_reference_does(
     want = run(bfs_rescue)
     assert run(_bfs_rescue) == want
     # the S3 quotient drops only targets out of reach
-    found, steps = run(_bfs_rescue, builtin_group("S3"))
+    s3 = builtin_group("S3")
+    found, steps = run(_bfs_rescue, (s3, hom_count(pres, s3)))
     assert found == want[0]
     if found:
         assert steps == want[1]
@@ -481,7 +494,9 @@ def test_rescue_proves_as_the_reference_does(monkeypatch, name):
                                   tuple(range(1, pipe.presentation.ngens + 1)))
     budgets = [Budget(), Budget(bfs_nodes=300), Budget(max_word_len=8)]
     got = [prove_equivalent(pipe.presentation, target, b) for b in budgets]
-    assert got == [_prove(pipe.presentation, target, b, builtin_group("S3"))
+    s3 = builtin_group("S3")
+    quotient = (s3, hom_count(pipe.presentation, s3))
+    assert got == [_prove(pipe.presentation, target, b, quotient)
                    for b in budgets]
     monkeypatch.setattr("arrgroup.prover._bfs_rescue",
                         lambda state, r, pool, ngens, quotient:
@@ -500,7 +515,9 @@ def test_quotient_keeps_every_target_legal_moves_reach(group, others, stuck,
     state = _State(pres, budget)
     words = moved_words(_State(pres, budget), r, random.Random(seed), count)
     rotations = [words[k:] + words[:k] for k in range(len(words))]
-    kept = _quotient_targets(state, r, rotations, 3, builtin_group(group))
+    table = builtin_group(group)
+    kept = _quotient_targets(state, r, rotations, 3,
+                             (table, hom_count(pres, table)))
     assert words in kept
 
 
@@ -509,8 +526,8 @@ def quotient_checks(monkeypatch, lattice, pres, budget=None):
     cf_verdict(..., "all") makes."""
     calls = []
 
-    def spy(state, r, targets, ngens, table):
-        kept = quotient_targets(state, r, targets, ngens, table)
+    def spy(state, r, targets, ngens, quotient):
+        kept = quotient_targets(state, r, targets, ngens, quotient)
         calls.append((state.rels[r], targets, kept))
         return kept
 
@@ -526,6 +543,16 @@ def test_quotient_drops_cevas_stuck_target(monkeypatch):
     pipe = pipeline("ceva")
     calls = quotient_checks(monkeypatch, pipe.lattice, pipe.presentation)
     assert calls == [(((2, 1, -2), (4,)), [((1,), (4,))], [])] * 2
+
+
+@pytest.mark.parametrize("image", IMAGES)
+def test_quotient_drops_every_target_of_cevas_images(monkeypatch, image):
+    # refute's items: each rescue on an image of ceva is futile, and the
+    # S3 count tells every one of its targets out of reach
+    swept = sweep(IMAGES[image](fixture_arrangement("ceva")))
+    calls = quotient_checks(monkeypatch, swept.lattice, swept.presentation)
+    assert calls
+    assert all(targets and not kept for _, targets, kept in calls)
 
 
 def test_quotient_drops_no_triple_quadruple_target(monkeypatch):
