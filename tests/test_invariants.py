@@ -257,11 +257,23 @@ def quaternion_table():
         tuple(tuple(units.index(mul(p, q)) for q in units) for p in units))
 
 
-# the built-in groups, an abelian parsed table and a non-abelian one
+def dihedral_table(n):
+    """The dihedral group of order 2n; index f * n + i is s^f r^i, and
+    r^i s = s r^-i."""
+    def mul(a, b):
+        (f1, i1), (f2, i2) = divmod(a, n), divmod(b, n)
+        return (f1 ^ f2) * n + ((-i1 if f2 else i1) + i2) % n
+    return FiniteGroupTable.make(
+        tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n)))
+
+
+# the built-in groups, an abelian parsed table, a non-abelian one, and one
+# of more than 64 elements, whose element sets span two 64-bit words
 TABLES = {name: builtin_group(name) for name in ("S3", "D4", "A4", "S4",
                                                  "A5")}
 TABLES["Z6"] = cyclic_table(6)
 TABLES["Q8"] = quaternion_table()
+TABLES["D33"] = dihedral_table(33)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
@@ -363,6 +375,7 @@ KERNEL_PRESENTATIONS = (
 KERNEL_COUNTS = {
     "A4": ((72, 156, 60), (72, 156, 60), (72, 156, 60), (360, 1884, 324)),
     "A5": ((1140, 3660, 360), (600, 3660, 360), (1140, 3660, 360)),
+    "D33": ((3300, 4422, 1254), (2244, 4422, 1254), (3300, 4422, 1254)),
     "D4": ((64, 72, 48), (64, 72, 48), (64, 72, 48), (224, 584, 272)),
     "Q8": ((64, 72, 48), (64, 72, 48), (64, 72, 48), (224, 584, 272)),
     "S3": ((30, 42, 24), (24, 42, 24), (30, 42, 24), (84, 258, 90)),
