@@ -325,19 +325,37 @@ def _by_layer(order, items):
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """A group's conjugation action restricted to the subgroups met as
-    centralizers of tuples, as arrays indexed [stab, g].  Stabilizer 0 is
-    the whole group, and stabilizer s is the subgroup subgroups[s]:
+    """A group's conjugation action, and the other tables hom_count reads.
+
+    The action is restricted to the subgroups met as centralizers of
+    tuples, as arrays indexed [stab, g].  Stabilizer 0 is the whole group,
+    and stabilizer s is the subgroup subgroups[s]:
 
     - is_rep[s, g]: g is the least element of its orbit under conjugation
       by subgroups[s];
     - orbit_size[s, g]: the size of that orbit;
-    - next_stab[s, g]: the id of subgroups[s] & C(g)."""
+    - next_stab[s, g]: the id of subgroups[s] & C(g).
+
+    A set of elements is ceil(order / 64) uint64 words, bit g % 64 of word
+    g // 64 for element g: rep_bits[s] is the set of is_rep[s], and
+    conj_bits[h1 * order + h2] is {g : g h1 g^-1 = h2}.  byte_sizes[s, b, v]
+    sums orbit_size[s, g] over the elements g in byte b of such a set whose
+    bits make v.  Past 256 elements conj_bits and byte_sizes are None.
+
+    prod, conj and commute are flat, indexed a * order + b: ab, a b a^-1,
+    and whether ab = ba; inv[a] is a^-1.  Group values are inv's dtype."""
 
     subgroups: tuple  # of frozensets of elements
     is_rep: np.ndarray
     orbit_size: np.ndarray
     next_stab: np.ndarray
+    rep_bits: np.ndarray
+    conj_bits: np.ndarray | None
+    byte_sizes: np.ndarray | None
+    prod: np.ndarray
+    conj: np.ndarray
+    commute: np.ndarray
+    inv: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -347,8 +365,10 @@ def orbit_table(table: FiniteGroupTable) -> OrbitTable:
     import numpy as np
 
     order = table.order
-    tab = np.array(table.table)
-    inv = np.array(table.inverse)
+    # a value also holds a * order + b, the index into the flat tables
+    vtype = np.uint16 if order <= 256 else np.int64
+    tab = np.array(table.table, dtype=vtype)
+    inv = np.array(table.inverse, dtype=vtype)
     conj = tab[tab, inv[:, None]]  # conj[h, g] = h g h^-1
     commute = tab == tab.T  # row g is the centralizer C(g)
     elements = np.arange(order)
@@ -359,7 +379,7 @@ def orbit_table(table: FiniteGroupTable) -> OrbitTable:
         members = np.flatnonzero(mask)
         is_rep.append(conj[members].min(axis=0) == elements)
         orbit_size.append(len(members) // commute[:, members].sum(axis=1))
-        nxt = np.empty(order, dtype=np.int32)
+        nxt = np.empty(order, dtype=np.intp)
         for g in range(order):
             meet = mask & commute[g]
             key = meet.tobytes()
@@ -368,27 +388,53 @@ def orbit_table(table: FiniteGroupTable) -> OrbitTable:
                 masks.append(meet)
             nxt[g] = ids[key]
         next_stab.append(nxt)
+    is_rep = np.array(is_rep)
+    orbit_size = np.array(orbit_size, dtype=np.int64)
+    words = -(-order // 64)
+    bit = np.uint64(1) << (elements % 64).astype(np.uint64)
+    rep_bits = np.zeros((len(masks), words), dtype="<u8")
+    conj_bits = byte_sizes = None
+    if order <= 256:
+        conj_bits = np.zeros((order * order, words), dtype="<u8")
+        sizes = np.zeros((len(masks), -(-order // 8) * 8), dtype=np.int64)
+        sizes[:, :order] = orbit_size
+        octet = (np.arange(256)[:, None] >> np.arange(8)) & 1  # [v, bit]
+        # a byte's sizes sum to at most 8 * 256
+        byte_sizes = (sizes.reshape(len(masks), -1, 8) @ octet.T).astype(
+            np.uint16)
+    for g in range(order):
+        rep_bits[is_rep[:, g], g // 64] |= bit[g]
+        if conj_bits is not None:  # g conjugates h1 to conj[g, h1]
+            conj_bits[elements * order + conj[g], g // 64] |= bit[g]
     return OrbitTable(tuple(frozenset(np.flatnonzero(m).tolist())
                             for m in masks),
-                      np.array(is_rep), np.array(orbit_size, dtype=np.int64),
-                      np.array(next_stab))
+                      is_rep, orbit_size, np.array(next_stab), rep_bits,
+                      conj_bits, byte_sizes, tab.ravel(), conj.ravel(),
+                      commute.ravel(), inv)
 
 
 def hom_count(p: Presentation, table: FiniteGroupTable,
               node_cap: int = HOM_NODES) -> HomCount:
     """Count homomorphisms from the presented group into the table group.
 
-    Layered backtracking over generator images, vectorized over cells:
+    Layered backtracking over generator images, vectorized over rows:
     rows are surviving partial assignments, and a cell is a row with a
-    candidate image of the next generator.  Each layer starts from the
-    cells whose image is an orbit representative (below), and each of its
-    brackets keeps only the cells it holds on, so a bracket is evaluated
-    on the cells every earlier one kept.  In a word, each run of letters
-    other than the layer's generator is evaluated once per row and then
-    gathered onto the cells.  A bracket [w1..wk] holds iff the prefix
-    product v(wm..w1) commutes with the suffix product v(wk..w_{m+1}) for
-    every split point m, which evaluates every equality from one pass over
-    the entries.
+    candidate image g of the layer's generator x.  A bracket [w1..wk]
+    holds iff the prefix product v(wm..w1) commutes with the suffix
+    product v(wk..w_{m+1}) for every split point m, that is iff every
+    v(wi) commutes with the whole product R = v(wk..w1).
+
+    Most brackets hold x once, in an entry wj = A x^e B.  Then R = a g^e b
+    with a = v(wk..w_{j+1} A) and b = v(B w_{j-1}..w1), and c = v(wi)
+    commutes with R iff g^e (b c b^-1) g^-e = a^-1 c a.  So the images a
+    row admits are its orbit representatives (below) ANDed with one
+    OrbitTable.conj_bits row per other entry: work per row, not per cell.
+    Each word without x is evaluated once per row and layer, from
+    memoized prefixes and conjugates u m u^-1.  Brackets that hold x more
+    than once, and every bracket of a table past 256 elements, are then
+    evaluated per cell on the admitted cells.  On the last layer with
+    brackets, when none is left per cell, each row's admitted images are
+    summed through OrbitTable.byte_sizes and no cell is built.
 
     Conjugating every image by one element maps homomorphisms to
     homomorphisms, so rows are kept up to conjugation.  A row carries the
@@ -403,8 +449,7 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     rows times the order at each layer, and ``node_cap`` bounds it: the
     count aborts (honestly) when that tree has more than node_cap
     candidate assignments.  ``cells`` is the (row, image) grid the
-    reduced tree visits, one cell per kept row and candidate image; the
-    brackets run on its live cells only.
+    reduced tree visits, one cell per kept row and candidate image.
 
     Isomorphic groups have equal counts, so two exact counts that differ
     tell presentations apart: cf_verdict tests candidates by their counts
@@ -412,67 +457,104 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
     import numpy as np
 
     order = table.order
-    # assignments are stored in dtype; group values in vtype, which also
-    # holds a * order + b, the index into the flat tables below
+    # assignments are stored in dtype, group values in the tables' dtype
     dtype = np.uint8 if order <= 256 else np.int32
-    vtype = np.uint16 if order <= 256 else np.int64
-    tab = np.array(table.table, dtype=vtype)
-    prod = tab.ravel()  # prod[a * order + b] = ab
-    commute = (tab == tab.T).ravel()  # commute[a * order + b]: ab = ba
-    inv = np.array(table.inverse, dtype=vtype)
-    orbits = orbit_table(table)
-    orbit_size = orbits.orbit_size.ravel()
-    next_stab = orbits.next_stab.ravel()
-    reps = orbits.is_rep.sum(axis=1)  # representatives per stabilizer
-    images = np.arange(order, dtype=vtype)
+    tables = orbit_table(table)
+    prod, conj, inv = tables.prod, tables.conj, tables.inv
+    orbit_size = tables.orbit_size.ravel()
+    next_stab = tables.next_stab.ravel()
+    byte_sizes = tables.byte_sizes
     # whole brackets: every split-point equality of one has its support; a
     # 1-entry bracket has no split point, so it holds everywhere
     layers = _by_layer(_assignment_order(p), (
         ({abs(c) for w in rel.words for c in w}, rel.words)
         for rel in p.relations if len(rel.words) > 1))
     last_constrained = max((j for j, brs in layers.items() if brs), default=0)
+    # per layer, brackets screened per row as (entries, (j, n)) with x at
+    # entries[j][n], and brackets evaluated per cell
+    screened = {layer: [] for layer in layers}
+    per_cell = {layer: [] for layer in layers}
+    for layer, brs in layers.items():
+        for entries in brs:
+            at = [(j, n) for j, w in enumerate(entries)
+                  for n, c in enumerate(w) if abs(c) == layer]
+            if len(at) == 1 and tables.conj_bits is not None:
+                screened[layer].append((entries, at[0]))
+            else:
+                per_cell[layer].append(entries)
     chunk_rows = max(1, (1 << 22) // order)
     state = {"nodes": 0, "cells": 0}
 
-    def mul(a, b):
+    def mul(a, b):  # None is the identity
+        if a is None or b is None:
+            return b if a is None else a
         return prod.take(a * order + b)
 
-    def eval_word(word, part, ri, gi, layer):
-        # the word's value on the live cells (ri, gi): each run of letters
-        # other than the layer's is evaluated once per row of part, then
-        # gathered onto the cells
+    def conjugate(u, m):  # u m u^-1, which is m when u is m
+        if u is None or m is None or u is m:
+            return m
+        return conj.take(u * order + m)
+
+    def row_values(part):
+        # the value of a word without the layer's letter on each row of part
+        memo = {(): None}
+
+        def value(word):
+            if word not in memo:
+                t = 0  # word = u m u^-1 with u of length t, as long as can be
+                while 2 * t + 1 < len(word) and word[t] == -word[-1 - t]:
+                    t += 1
+                if len(word) == 1:
+                    col = part[:, abs(word[0]) - 1]
+                    v = col.astype(inv.dtype) if word[0] > 0 else inv.take(col)
+                elif t:
+                    v = conjugate(value(word[:t]), value(word[t:-t]))
+                else:
+                    v = mul(value(word[:-1]), value(word[-1:]))
+                memo[word] = v
+            return memo[word]
+        return value
+
+    def screen(live, value, entries, j, n):
+        # AND into live the images for which the bracket holds
+        w = entries[j]
+        vals = [value(e) if i != j else None for i, e in enumerate(entries)]
+        a, b = value(w[:n]), value(w[n + 1:])
+        for i in range(j + 1, len(entries)):
+            a = mul(vals[i], a)
+        for i in range(j - 1, -1, -1):
+            b = mul(b, vals[i])
+        a_inv = None if a is None else inv.take(a)
+        for c in vals:
+            if c is not None:
+                h1, h2 = conjugate(b, c), c if a is c else conjugate(a_inv, c)
+                if w[n] < 0:
+                    h1, h2 = h2, h1
+                # numpy gathers uint64 rows faster by intp indices
+                at = (h1 * order + h2).astype(np.intp)
+                live &= tables.conj_bits.take(at, axis=0)
+
+    def eval_word(word, value, ri, gi, layer):
+        # the word's value on the cells (ri, gi): each run of letters other
+        # than the layer's is a row value, gathered onto the cells
         val = None
         for is_layer, run in groupby(word, lambda c: abs(c) == layer):
             if is_layer:
                 for c in run:
-                    x = gi if c > 0 else inv.take(gi)
-                    val = x if val is None else mul(val, x)
-                continue
-            x = None
-            for c in run:
-                col = part[:, abs(c) - 1]
-                col = col.astype(vtype) if c > 0 else inv.take(col)
-                x = col if x is None else mul(x, col)
-            x = x.take(ri)
-            val = x if val is None else mul(val, x)
-        return np.zeros(len(ri), dtype=vtype) if val is None else val
+                    val = mul(val, gi if c > 0 else inv.take(gi))
+            else:
+                x = value(tuple(run))
+                val = val if x is None else mul(val, x.take(ri))
+        return np.zeros(len(ri), dtype=inv.dtype) if val is None else val
 
-    def bracket_keep(entries, part, ri, gi, layer):
-        vals = [eval_word(w, part, ri, gi, layer) for w in entries]
-        k = len(vals)
-        suffix = [None] * k  # suffix[m-1] = v(wk ... w_{m+1})
-        acc = vals[k - 1]
-        for m in range(k - 1, 0, -1):
-            suffix[m - 1] = acc
-            if m > 1:
-                acc = mul(acc, vals[m - 1])
-        keep = None
-        prefix = vals[0]
-        for m in range(1, k):
-            ok = commute.take(suffix[m - 1] * order + prefix)
-            keep = ok if keep is None else keep & ok
-            if m < k - 1:
-                prefix = mul(vals[m], prefix)
+    def bracket_keep(entries, value, ri, gi, layer):
+        vals = [eval_word(w, value, ri, gi, layer) for w in entries]
+        whole = vals[-1]  # R; the bracket holds iff v(w1..w_{k-1}) commute
+        for v in vals[-2::-1]:
+            whole = mul(whole, v)
+        keep = tables.commute.take(vals[0] * order + whole)
+        for v in vals[1:-1]:
+            keep &= tables.commute.take(v * order + whole)
         return keep
 
     def expand(assigned, stab, weight, layer):
@@ -487,14 +569,27 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
             state["cells"] += len(part) * order
             if state["nodes"] > node_cap:
                 raise _Abort
-            # live cells (ri, gi), row-major: each row's representatives
-            live = orbits.is_rep[pstab]
-            ri = np.repeat(np.arange(len(part), dtype=np.int32), reps[pstab])
-            gi = np.broadcast_to(images, live.shape)[live]
-            for entries in layers[layer]:
+            value = row_values(part)
+            live = tables.rep_bits.take(pstab, axis=0)
+            for entries, (j, n) in screened[layer]:
+                screen(live, value, entries, j, n)
+            live = live.view(np.uint8)
+            if layer == last_constrained and not per_cell[layer]:
+                # a byte of live at a time; a row's sum is at most order
+                at = pstab * byte_sizes[0].size
+                sizes = sum(byte_sizes.take(at + 256 * b + live[:, b])
+                            for b in range(len(byte_sizes[0])))
+                total += int(pweight @ sizes) * order ** (p.ngens - layer)
+                continue
+            # the admitted cells (ri, gi), row-major
+            at = np.flatnonzero(np.unpackbits(
+                live, axis=1, count=order, bitorder="little").view(bool))
+            ri = at // order
+            gi = (at - ri * order).astype(inv.dtype)
+            for entries in per_cell[layer]:
                 if not len(ri):
                     break
-                keep = bracket_keep(entries, part, ri, gi, layer)
+                keep = bracket_keep(entries, value, ri, gi, layer)
                 ri, gi = ri[keep], gi[keep]
             cell = pstab.take(ri) * order + gi  # index into [stab, g]
             nweight = pweight.take(ri) * orbit_size.take(cell)
@@ -509,7 +604,7 @@ def hom_count(p: Presentation, table: FiniteGroupTable,
 
     seed = np.zeros((1, 0), dtype=dtype)
     try:
-        count = expand(seed, np.zeros(1, dtype=np.int32),
+        count = expand(seed, np.zeros(1, dtype=np.intp),
                        np.ones(1, dtype=np.int64), 1)
     except _Abort:
         return HomCount(None, "aborted", state["nodes"], state["cells"])

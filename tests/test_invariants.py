@@ -298,6 +298,30 @@ def test_orbit_table_describes_the_conjugation_action(name):
         assert reps == order
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_orbit_table_packs_conjugators_and_representatives(name):
+    table = TABLES[name]
+    t, inv, order = table.table, table.inverse, table.order
+    orbits = orbit_table(table)
+
+    def members(words):  # every set bit, padding included
+        n = sum(int(w) << 64 * i for i, w in enumerate(words))
+        return {g for g in range(64 * len(words)) if n >> g & 1}
+
+    for h1 in range(order):
+        for h2 in range(order):
+            assert members(orbits.conj_bits[h1 * order + h2]) == {
+                g for g in range(order) if t[t[g][h1]][inv[g]] == h2}
+    for s in range(len(orbits.subgroups)):
+        assert members(orbits.rep_bits[s]) == {
+            g for g in range(order) if orbits.is_rep[s, g]}
+        for b, sums in enumerate(orbits.byte_sizes[s]):
+            for v, got in enumerate(sums):
+                assert got == sum(orbits.orbit_size[s, 8 * b + i]
+                                  for i in range(8)
+                                  if v >> i & 1 and 8 * b + i < order)
+
+
 # hom_count keeps one row per conjugation orbit; the scalar reference
 # tries every assignment
 @settings(max_examples=60)
@@ -394,6 +418,25 @@ def test_hom_count_kernel_matches_scalar_on_repeated_layer_letters(name):
         assert fast.count == hom_count_scalar(pres, table).count
         got.append((fast.count, fast.nodes, fast.cells))
     assert tuple(got) == KERNEL_COUNTS[name]
+
+
+# hom_count screens a bracket that holds the layer's letter once by the
+# elements that conjugate b c b^-1 to a^-1 c a; here that letter sits
+# between other letters, inverted in some brackets and not in others
+SCREENED_PRESENTATIONS = (
+    brackets(2, ((1, -2, 1), (1, 1, 1)), ((2, 1, 1), (1,))),
+    brackets(3, ((1,), (2, -3, 1), (2,)), ((3, 1), (2,))),
+    brackets(3, ((2, 1, -3, 2), (1,)), ((1, 3, -2), (2,), (1,))),
+)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_hom_count_screen_matches_scalar_on_a_layer_letter_met_once(name):
+    table = TABLES[name]
+    for pres in SCREENED_PRESENTATIONS:
+        if pres.ngens == 2 or table.order <= 24:
+            fast = hom_count(pres, table)
+            assert fast.count == hom_count_scalar(pres, table).count
 
 
 # closed forms: a generic arrangement's group is Z^n (Hattori 1975), and an
